@@ -145,7 +145,6 @@ runServerPoint(app::AppKind kind, unsigned numFlows, double rate,
 {
     server::ServerConfig sc;
     sc.rxThreads = 2;
-    sc.txThreads = 1;
     sc.workers = 2;
     sc.numQueues = 16;
     server::UdpServer srv(sc);

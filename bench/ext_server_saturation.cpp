@@ -61,7 +61,6 @@ runPoint(const char *mode, bool openLoop, unsigned workers, double rate,
 {
     server::ServerConfig sc;
     sc.rxThreads = 2;
-    sc.txThreads = 1;
     sc.workers = workers;
     sc.numQueues = 16;
     server::UdpServer srv(sc);

@@ -123,7 +123,6 @@ serverConfig(bool telemetryOn)
     // resulting balance lottery swamps a few-percent telemetry effect.
     server::ServerConfig sc;
     sc.rxThreads = 1;
-    sc.txThreads = 1;
     sc.workers = 1;
     sc.numQueues = 4;
     sc.telemetry.enabled = telemetryOn;

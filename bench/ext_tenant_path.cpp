@@ -101,7 +101,6 @@ tenantServerConfig(const Scenario &s, bool withStorm)
     // tail this experiment gates on.
     server::ServerConfig sc;
     sc.rxThreads = 1;
-    sc.txThreads = 1;
     sc.workers = 2;
     sc.numQueues = 8;
     sc.policy = core::ServicePolicy::WeightedRoundRobin;

@@ -3,7 +3,8 @@
  * Standalone UDP data-plane server.
  *
  * Binds the real server (RX shards -> per-flow queues -> EmuHyperPlane
- * doorbells -> QWAIT workers -> TX) on a UDP port and serves the wire
+ * doorbells -> one grant served inline on RX, the rest by QWAIT workers,
+ * each sending its own replies) on a UDP port and serves the wire
  * protocol until SIGINT.  Pair it with examples/udp_loadgen from
  * another terminal:
  *
@@ -17,7 +18,6 @@
  *   --ip A            bind address        (default 127.0.0.1)
  *   --port P          bind port, 0 = ephemeral (printed at startup)
  *   --rx N            RX threads / SO_REUSEPORT shards (default 2)
- *   --tx N            TX threads                       (default 1)
  *   --workers N       QWAIT worker threads             (default 2)
  *   --queues N        task queues                      (default 16)
  *   --drop-rings R    inject doorbell-ring drops with probability R
@@ -77,8 +77,6 @@ main(int argc, char **argv)
         cfg.port = static_cast<std::uint16_t>(std::atoi(v));
     if (const char *v = harness::argValue(argc, argv, "--rx"))
         cfg.rxThreads = static_cast<unsigned>(std::atoi(v));
-    if (const char *v = harness::argValue(argc, argv, "--tx"))
-        cfg.txThreads = static_cast<unsigned>(std::atoi(v));
     if (const char *v = harness::argValue(argc, argv, "--workers"))
         cfg.workers = static_cast<unsigned>(std::atoi(v));
     if (const char *v = harness::argValue(argc, argv, "--queues"))
@@ -115,9 +113,9 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("udp_server listening on %s:%u  "
-                "(rx=%u tx=%u workers=%u queues=%u)\n",
+                "(rx=%u workers=%u queues=%u)\n",
                 cfg.bindIp.c_str(), srv.port(), cfg.rxThreads,
-                cfg.txThreads, cfg.workers, cfg.numQueues);
+                cfg.workers, cfg.numQueues);
     if (srv.metricsPort() >= 0) {
         std::printf("metrics endpoint on %s:%d  "
                     "(/metrics /stats.json /events.json /flight.json)\n",

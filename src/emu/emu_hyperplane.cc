@@ -48,17 +48,26 @@ EmuHyperPlane::removeQueue(QueueId qid)
 }
 
 bool
-EmuHyperPlane::notifyIfNewlyGrantable(QueueId qid, bool wasGrantable)
+EmuHyperPlane::notifyOne()
 {
-    if (wasGrantable || !grantable(qid) || waiters_ == 0)
+    if (waiters_ <= wakesInFlight_)
         return false;
+    ++wakesInFlight_;
     ++wakeups_;
     cv_.notify_one();
     return true;
 }
 
+bool
+EmuHyperPlane::notifyIfNewlyGrantable(QueueId qid, bool wasGrantable)
+{
+    if (wasGrantable || !grantable(qid))
+        return false;
+    return notifyOne();
+}
+
 void
-EmuHyperPlane::ring(QueueId qid, std::uint64_t n)
+EmuHyperPlane::ring(QueueId qid, std::uint64_t n, Wake wake)
 {
     std::lock_guard<std::mutex> lock(m_);
     hp_assert(qid < registered_.size(), "qid out of range");
@@ -77,7 +86,15 @@ EmuHyperPlane::ring(QueueId qid, std::uint64_t n)
     // queue wakes nobody (the pending state will be granted anyway).
     const bool wasGrantable = grantable(qid);
     ready_.activate(qid);
-    notifyIfNewlyGrantable(qid, wasGrantable);
+    if (wake == Wake::Now)
+        notifyIfNewlyGrantable(qid, wasGrantable);
+}
+
+bool
+EmuHyperPlane::wakeOneIfGrantable()
+{
+    std::lock_guard<std::mutex> lock(m_);
+    return ready_.readyCount() > wakesInFlight_ && notifyOne();
 }
 
 void
@@ -140,6 +157,9 @@ EmuHyperPlane::qwait(std::chrono::nanoseconds timeout)
         ++waiters_;
         const auto status = cv_.wait_until(lock, deadline);
         --waiters_;
+        // Whatever woke us, one claimed notify (if any) is now spent.
+        if (wakesInFlight_ > 0)
+            --wakesInFlight_;
         qid = ready_.selectNext();
         if (qid)
             break;

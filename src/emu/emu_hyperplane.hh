@@ -26,7 +26,14 @@
  * but one woken worker finds nothing; with targeted wakes the number of
  * notified waiters matches the number of newly-grantable queues.  The
  * residual wakes that still find nothing (a racing qwaitNonBlocking, a
- * pthread-level spurious return) are counted in spuriousWakes.
+ * pthread-level spurious return) are counted in spuriousWakes.  A notify
+ * is only issued while some parked waiter has not already been claimed
+ * by an earlier notify, so wakeups never exceed the waiters there are.
+ *
+ * A producer that will serve its own work can defer the wake: it rings
+ * with Wake::Deferred, takes a grant itself, and then calls
+ * wakeOneIfGrantable(), which wakes one waiter only if work is left.
+ * Below capacity the ringer serves everything it rang and nobody wakes.
  */
 
 #ifndef HYPERPLANE_EMU_EMU_HYPERPLANE_HH
@@ -73,11 +80,29 @@ class EmuHyperPlane
 
     // --- Producer side ------------------------------------------------
 
+    /** Who wakes a waiter for a ring that made a queue grantable. */
+    enum class Wake
+    {
+        Now,      ///< ring() wakes one waiter itself
+        Deferred, ///< the ringer calls wakeOneIfGrantable() later
+    };
+
     /**
-     * Ring the doorbell: advertise @p n new items in @p qid and wake
-     * one waiting consumer if the queue just became grantable.
+     * Ring the doorbell: advertise @p n new items in @p qid and, with
+     * Wake::Now, wake one waiting consumer if the queue just became
+     * grantable.
      */
-    void ring(QueueId qid, std::uint64_t n = 1);
+    void ring(QueueId qid, std::uint64_t n = 1, Wake wake = Wake::Now);
+
+    /**
+     * Close a run of Wake::Deferred rings: wake one parked waiter if
+     * more queues are grantable than notifies already on their way
+     * (take()'s RECONSIDER may have sent one for a residual).  Call it
+     * after serving a grant yourself, so nobody is woken for work
+     * already done.
+     * @return true if a notify was issued.
+     */
+    bool wakeOneIfGrantable();
 
     // --- Consumer (data-plane) side ------------------------------------
 
@@ -179,6 +204,12 @@ class EmuHyperPlane
      */
     bool notifyIfNewlyGrantable(QueueId qid, bool wasGrantable);
 
+    /**
+     * Notify one parked waiter that no earlier notify has claimed.
+     * @pre m_ held.  @return true if a notify was issued.
+     */
+    bool notifyOne();
+
     /** @pre m_ held. */
     bool grantable(QueueId qid) const
     {
@@ -194,6 +225,8 @@ class EmuHyperPlane
     std::vector<bool> muted_;
     unsigned numRegistered_ = 0;
     unsigned waiters_ = 0;
+    /** Notifies issued whose waiter has not yet re-taken m_ (<= waiters_). */
+    unsigned wakesInFlight_ = 0;
     std::uint64_t grants_ = 0;
     std::uint64_t wakeups_ = 0;
     std::uint64_t spuriousWakes_ = 0;

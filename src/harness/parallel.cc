@@ -25,8 +25,7 @@ jobsFromArgs(int argc, char **argv)
 {
     if (const char *v = argValue(argc, argv, "--jobs")) {
         const long n = std::strtol(v, nullptr, 10);
-        if (n >= 1)
-            return static_cast<unsigned>(n);
+        return n >= 1 ? static_cast<unsigned>(n) : 1u;
     }
     return defaultJobs();
 }

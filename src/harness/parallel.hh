@@ -29,7 +29,8 @@ unsigned defaultJobs();
 /**
  * Parse `--jobs N` from the command line.
  *
- * @return N if present and >= 1, otherwise defaultJobs().
+ * @return N if present, with any N below 1 meaning 1 (sequential);
+ *         defaultJobs() when the flag is absent.
  */
 unsigned jobsFromArgs(int argc, char **argv);
 

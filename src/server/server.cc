@@ -51,7 +51,6 @@ UdpServer::UdpServer(const ServerConfig &cfg)
       epoch_(steady_clock::now())
 {
     hp_assert(cfg_.rxThreads > 0, "need at least one RX thread");
-    hp_assert(cfg_.txThreads > 0, "need at least one TX thread");
     hp_assert(cfg_.workers > 0, "need at least one worker");
     hp_assert(cfg_.numQueues > 0, "need at least one queue");
     hp_assert(cfg_.rxBatch > 0, "rxBatch must be positive");
@@ -107,26 +106,26 @@ UdpServer::start()
         }
         rxSockets_.push_back(std::move(*s));
     }
-    // TX sockets stay out of the REUSEPORT group (they must not steal
-    // inbound datagrams); replies carry their own ephemeral source.
-    for (unsigned i = 0; i < cfg_.txThreads; ++i) {
+    // Worker reply sockets stay out of the REUSEPORT group (they must
+    // not steal inbound datagrams); replies carry an ephemeral source.
+    for (unsigned w = 0; w < cfg_.workers; ++w) {
         auto s = UdpSocket::open();
         if (!s) {
             rxSockets_.clear();
-            txSockets_.clear();
+            workerSockets_.clear();
             return false;
         }
-        txSockets_.push_back(std::move(*s));
+        workerSockets_.push_back(std::move(*s));
     }
 
     epoch_ = steady_clock::now();
     if (cfg_.tracer)
         cfg_.tracer->setClock([this] { return nowTicks(); });
 
-    // Zero-copy frame pools: drain the old queues first on a restart —
-    // queued requests hold frame handles into the pools being replaced.
+    // Zero-copy frame pools: drain the old queues and lanes first on a
+    // restart — they hold frame handles into the pools being replaced.
     reqQueues_.clear();
-    txQueues_.clear();
+    lanes_.clear();
     rxPools_.clear();
     rejectPool_.reset();
     const std::uint32_t frameBytes =
@@ -159,19 +158,20 @@ UdpServer::start()
             hpDev_->setWeight(q, spec.weight);
         }
     }
-    txDevs_.clear();
-    txQueues_.clear();
-    for (unsigned t = 0; t < cfg_.txThreads; ++t) {
-        txDevs_.push_back(std::make_unique<emu::EmuHyperPlane>(1));
-        txDevs_.back()->addQueue();
-        txQueues_.push_back(
-            std::make_unique<queueing::MpmcQueue<Response>>(
-                cfg_.queueCapacity));
+    // One lane per serving thread, indexed like the telemetry shards:
+    // RX shards first, then the pool workers.  Worker w's steerer is
+    // seeded seed + w; the RX lanes take the seeds after the workers'.
+    for (unsigned i = 0; i < cfg_.rxThreads + cfg_.workers; ++i) {
+        Lane lane;
+        lane.shard = i;
+        const bool rx = i < cfg_.rxThreads;
+        const unsigned w = i - cfg_.rxThreads;
+        lane.track = rx ? trace::trackHardwareBase + i : w;
+        lane.sock = rx ? &rxSockets_[i] : &workerSockets_[w];
+        lane.steerer = std::make_unique<workloads::PacketSteering>(
+            cfg_.fault.seed + (rx ? cfg_.workers + i : w));
+        lanes_.push_back(std::move(lane));
     }
-    steerers_.clear();
-    for (unsigned w = 0; w < cfg_.workers; ++w)
-        steerers_.push_back(std::make_unique<workloads::PacketSteering>(
-            cfg_.fault.seed + w));
 
     // Stateful app handlers (opcodes 3..5): one instance each, sharded
     // by queue id so a flow's state is owned by the queue its crc32c
@@ -228,16 +228,18 @@ UdpServer::start()
 
     running_.store(true);
     rxRunning_.store(true);
-    txRunning_.store(true);
 
     pool_ = std::make_unique<emu::DataPlanePool>(
         *hpDev_, cfg_.workers,
-        [this](QueueId qid, std::uint64_t n) { handleBatch(qid, n); },
+        [this](QueueId qid, std::uint64_t n) {
+            Lane &lane = lanes_[workerShard(static_cast<unsigned>(
+                emu::DataPlanePool::workerIndex()))];
+            serveGrant(lane, qid, n);
+            sendReplies(lane);
+        },
         cfg_.maxBatch);
     pool_->start();
 
-    for (unsigned t = 0; t < cfg_.txThreads; ++t)
-        txThreads_.emplace_back([this, t] { txLoop(t); });
     for (unsigned i = 0; i < cfg_.rxThreads; ++i)
         rxThreads_.emplace_back([this, i] { rxLoop(i); });
     if (cfg_.fault.watchdogEnabled) {
@@ -286,28 +288,12 @@ UdpServer::stop(std::chrono::nanoseconds drainDeadline)
 
     // 3. Drain the doorbell residual, then stop the workers.  After
     //    this returns the pool threads are joined: no handler runs
-    //    beyond this point.
+    //    beyond this point, and every served reply has been sent by
+    //    the thread that served it.
     drained = pool_->drain(timeLeft(deadline)) && drained;
 
     if (watchdogRunning_.exchange(false) && watchdogThread_.joinable())
         watchdogThread_.join();
-
-    // 4. Flush the response queues, then join the TX threads (each
-    //    flushes its own remainder on exit).
-    while (steady_clock::now() < deadline) {
-        std::uint64_t left = 0;
-        for (const auto &q : txQueues_)
-            left += q->size();
-        if (left == 0)
-            break;
-        std::this_thread::sleep_for(microseconds(200));
-    }
-    txRunning_.store(false);
-    for (auto &t : txThreads_)
-        t.join();
-    txThreads_.clear();
-    for (const auto &q : txQueues_)
-        drained = drained && q->empty();
 
     // The endpoint serves during the drain (an operator can scrape a
     // stopping server); it goes down with the last worker gone.
@@ -317,7 +303,7 @@ UdpServer::stop(std::chrono::nanoseconds drainDeadline)
     }
 
     rxSockets_.clear();
-    txSockets_.clear();
+    workerSockets_.clear();
     return drained;
 }
 
@@ -331,6 +317,9 @@ UdpServer::counterSnapshot() const
         s.rxPackets = hotCounters_->total(HotCounter::RxPackets);
         s.parseErrors = hotCounters_->total(HotCounter::ParseErrors);
         s.served = hotCounters_->total(HotCounter::Served);
+        for (unsigned i = 0; i < cfg_.rxThreads; ++i)
+            s.servedInline +=
+                hotCounters_->shardValue(rxShard(i), HotCounter::Served);
         s.txPackets = hotCounters_->total(HotCounter::TxPackets);
     }
     const auto ld = [](const std::atomic<std::uint64_t> &c) {
@@ -343,7 +332,6 @@ UdpServer::counterSnapshot() const
     s.stormDemotions = ld(counters_.stormDemotions);
     s.ringsDropped = ld(counters_.ringsDropped);
     s.badStatus = ld(counters_.badStatus);
-    s.txDrops = ld(counters_.txDrops);
     s.txSendErrors = ld(counters_.txSendErrors);
     s.watchdogSweeps = ld(counters_.watchdogSweeps);
     s.watchdogRecoveries = ld(counters_.watchdogRecoveries);
@@ -398,14 +386,15 @@ UdpServer::rxLoop(unsigned index)
     std::vector<std::uint8_t> prefixOk(slotCount);
     std::vector<std::uint32_t> counts(cfg_.numQueues, 0);
     std::vector<QueueId> touched;
-    std::vector<std::uint32_t> txCounts(cfg_.txThreads, 0);
     const bool shedEnabled = cfg_.shedHighWatermark > 0;
     const bool stormOn =
         cfg_.fault.stormRingsPerBatch > 0 &&
         cfg_.fault.stormTenant < tenants_->numTenants();
 
-    // Telemetry: this thread is the single writer of shard `shard`.
+    // Telemetry: this thread is the single writer of shard `shard`,
+    // and the only user of its lane.
     const unsigned shard = rxShard(index);
+    Lane &lane = lanes_[shard];
     telemetry::CounterShards &hot = *hotCounters_;
     telemetry::StageLatencyShards *lat = stageLat_.get();
     telemetry::FlightRecorder &flight = *flight_;
@@ -506,9 +495,8 @@ UdpServer::rxLoop(unsigned index)
                         1, std::memory_order_relaxed);
                     counters_.shedQueueFull.fetch_add(
                         1, std::memory_order_relaxed);
-                    enqueueReject(peer, *hdr, wire::statusShed, qid,
-                                  tenant, rxNs, txCounts,
-                                  FrameHandle());
+                    queueReject(lane, peer, *hdr, wire::statusShed,
+                                tenant, rxNs, FrameHandle());
                     if (flight.sampled(hdr->seq)) {
                         flight.stamp(
                             shard, trace::Stage::AdmissionShed,
@@ -558,9 +546,8 @@ UdpServer::rxLoop(unsigned index)
                 }
                 if (verdict != wire::statusOk) {
                     // The reject reuses the request's own frame.
-                    enqueueReject(peer, *hdr, verdict, qid, tenant,
-                                  rxNs, txCounts,
-                                  std::move(spare[i]));
+                    queueReject(lane, peer, *hdr, verdict, tenant, rxNs,
+                                std::move(spare[i]));
                     if (flight.sampled(hdr->seq)) {
                         flight.stamp(shard,
                                      trace::Stage::AdmissionShed,
@@ -605,9 +592,8 @@ UdpServer::rxLoop(unsigned index)
                             1, std::memory_order_release);
                     // tryPush leaves its argument intact on failure, so
                     // the reject can still ride the request's frame.
-                    enqueueReject(peer, *hdr, wire::statusShed, qid,
-                                  tenant, rxNs, txCounts,
-                                  std::move(req.frame));
+                    queueReject(lane, peer, *hdr, wire::statusShed,
+                                tenant, rxNs, std::move(req.frame));
                     if (flight.sampled(hdr->seq)) {
                         flight.stamp(shard,
                                      trace::Stage::AdmissionShed,
@@ -649,11 +635,12 @@ UdpServer::rxLoop(unsigned index)
                             spare.end());
             }
 
-            // One doorbell ring per (batch, queue).  The injectable
+            // One doorbell ring per (batch, queue), waking nobody yet:
+            // this thread serves a grant itself below.  The injectable
             // drop models a lost doorbell snoop between RX and the
             // notification device.
-            const std::uint64_t ringNs =
-                lat && !touched.empty() ? nowNs() : 0;
+            const bool rang = !touched.empty();
+            const std::uint64_t ringNs = lat && rang ? nowNs() : 0;
             for (QueueId qid : touched) {
                 const std::uint32_t cnt = counts[qid];
                 counts[qid] = 0;
@@ -675,7 +662,8 @@ UdpServer::rxLoop(unsigned index)
                                         track, nowTicks(), qid, cnt);
                     }
                 } else {
-                    hpDev_->ring(qid, cnt);
+                    hpDev_->ring(qid, cnt,
+                                 emu::EmuHyperPlane::Wake::Deferred);
                 }
                 // Close the window: advance the epoch before lowering
                 // the in-flight count so the watchdog can't see a
@@ -686,14 +674,21 @@ UdpServer::rxLoop(unsigned index)
             }
             touched.clear();
 
-            // Flush the batch's typed rejects: one TX ring per touched
-            // TX queue, same batching discipline as the request path.
-            for (unsigned tx = 0; tx < cfg_.txThreads; ++tx) {
-                if (txCounts[tx] > 0) {
-                    txDevs_[tx]->ring(0, txCounts[tx]);
-                    txCounts[tx] = 0;
+            // Run to completion: serve one grant on this thread.  The
+            // ready set picks the queue, so the service policy holds.
+            // Its replies leave with the batch's typed rejects in one
+            // sendmmsg; a worker wakes only for what is left over.
+            if (rang) {
+                if (const auto qid = hpDev_->qwaitNonBlocking()) {
+                    const std::uint64_t n =
+                        hpDev_->take(*qid, cfg_.maxBatch);
+                    if (n > 0)
+                        serveGrant(lane, *qid, n);
                 }
             }
+            sendReplies(lane);
+            if (rang)
+                hpDev_->wakeOneIfGrantable();
 
             // Doorbell-storm injection: the adversarial tenant's driver
             // rings its whole queue group with zero-item doorbells,
@@ -712,12 +707,10 @@ UdpServer::rxLoop(unsigned index)
 }
 
 void
-UdpServer::enqueueReject(const sockaddr_in &peer,
-                         const wire::RequestHeader &hdr,
-                         wire::Status status, QueueId qid,
-                         unsigned tenant, std::uint64_t rxNs,
-                         std::vector<std::uint32_t> &txCounts,
-                         FrameHandle &&frame)
+UdpServer::queueReject(Lane &lane, const sockaddr_in &peer,
+                       const wire::RequestHeader &hdr, wire::Status status,
+                       unsigned tenant, std::uint64_t rxNs,
+                       FrameHandle &&frame)
 {
     // A reject normally rides the request's own frame; a null handle
     // (pool-dry scratch path) draws one from the small reserve pool so
@@ -741,7 +734,7 @@ UdpServer::enqueueReject(const sockaddr_in &peer,
     Response out;
     out.seq = rh.seq;
     out.rxNs = rxNs;
-    out.doneNs = 0; // reject sentinel: TX skips stage latency
+    out.doneNs = 0; // rejects take no service->tx or e2e samples
     out.tenant = tenant;
     out.peer = peer;
     const std::size_t written =
@@ -749,27 +742,15 @@ UdpServer::enqueueReject(const sockaddr_in &peer,
     hp_assert(written != 0, "payload-free reject must serialize");
     out.len = static_cast<std::uint32_t>(written);
     out.frame = std::move(frame);
-
-    const unsigned tx = qid % cfg_.txThreads;
-    if (!txQueues_[tx]->tryPush(std::move(out))) {
-        counters_.txDrops.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    ++txCounts[tx];
+    lane.out.push_back(std::move(out));
 }
 
 void
-UdpServer::handleBatch(QueueId qid, std::uint64_t n)
+UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
 {
     trace::Tracer *tracer = cfg_.tracer;
-    const int widx = emu::DataPlanePool::workerIndex();
-    const std::uint32_t track = widx >= 0 ? widx : 0;
-    // Off-pool callers (the watchdog's polled fallback serve) write the
-    // watchdog's telemetry shard: worker shards are single-writer and
-    // worker 0 may be live concurrently.
-    const unsigned shard = widx >= 0
-                               ? workerShard(static_cast<unsigned>(widx))
-                               : watchdogShard();
+    const unsigned shard = lane.shard;
+    const std::uint32_t track = lane.track;
     telemetry::StageLatencyShards *lat = stageLat_.get();
     telemetry::FlightRecorder &flight = *flight_;
     if (HP_TRACE_ON(tracer)) {
@@ -777,8 +758,7 @@ UdpServer::handleBatch(QueueId qid, std::uint64_t n)
                         qid, n);
     }
 
-    std::vector<Request> reqs;
-    reqs.reserve(n);
+    std::vector<Request> &reqs = lane.reqs;
     // The doorbell can over-advertise (watchdog replays, drain races);
     // serve what is actually queued.
     reqQueues_[qid]->popBatch(reqs, n);
@@ -795,7 +775,6 @@ UdpServer::handleBatch(QueueId qid, std::uint64_t n)
                      reqs.size());
     }
 
-    std::vector<std::uint32_t> txCounts(cfg_.txThreads, 0);
     for (Request &req : reqs) {
         // Same decimation as RX: a sequence number that sampled there
         // samples here too, so per-request spans stay coherent across
@@ -818,12 +797,11 @@ UdpServer::handleBatch(QueueId qid, std::uint64_t n)
             tracer->begin(trace::Stage::Service, track, nowTicks(), qid,
                           req.hdr.seq);
         }
-        Response resp = makeResponse(track, qid, req);
+        Response resp = makeResponse(lane, qid, req);
         resp.rxNs = req.rxNs;
         resp.tenant = req.tenant;
-        // doneNs == 0 tells TX to skip the service->tx and e2e
-        // samples, so decimated requests pay no clock read here and
-        // none at TX either.
+        // doneNs == 0 tells sendReplies to skip the service->tx and e2e
+        // samples, so decimated requests pay no clock read here.
         resp.doneNs = stageSampled ? nowNs() : 0;
         if (sampledReq) {
             flight.stamp(shard, trace::Stage::Service,
@@ -834,12 +812,7 @@ UdpServer::handleBatch(QueueId qid, std::uint64_t n)
             tracer->end(trace::Stage::Service, track, nowTicks(), qid,
                         req.hdr.seq);
         }
-        const unsigned tx = qid % cfg_.txThreads;
-        if (!txQueues_[tx]->tryPush(std::move(resp))) {
-            counters_.txDrops.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        ++txCounts[tx];
+        lane.out.push_back(std::move(resp));
     }
     hotCounters_->add(shard, telemetry::HotCounter::Served,
                       reqs.size());
@@ -848,13 +821,11 @@ UdpServer::handleBatch(QueueId qid, std::uint64_t n)
         tenants_->counters(owner).served.fetch_add(
             reqs.size(), std::memory_order_relaxed);
     }
-    for (unsigned tx = 0; tx < cfg_.txThreads; ++tx)
-        if (txCounts[tx] > 0)
-            txDevs_[tx]->ring(0, txCounts[tx]);
+    reqs.clear();
 }
 
 UdpServer::Response
-UdpServer::makeResponse(unsigned worker, QueueId qid, Request &req)
+UdpServer::makeResponse(Lane &lane, QueueId qid, Request &req)
 {
     wire::ResponseHeader rh;
     rh.opcode = req.hdr.opcode;
@@ -897,7 +868,7 @@ UdpServer::makeResponse(unsigned worker, QueueId qid, Request &req)
         item.seq = req.hdr.seq;
         item.flowId = req.hdr.flowId;
         item.payloadBytes = req.hdr.payloadLen;
-        const unsigned dest = steerers_[worker]->steer(item);
+        const unsigned dest = lane.steerer->steer(item);
         // The 8-byte verdict overwrites the request payload in place
         // (the steer decision never reads the payload bytes).
         net::putBe32(framePayload, flowHash(FlowKey{0, 0, 0, 0,
@@ -957,91 +928,63 @@ UdpServer::makeResponse(unsigned worker, QueueId qid, Request &req)
 }
 
 void
-UdpServer::txLoop(unsigned index)
+UdpServer::sendReplies(Lane &lane)
 {
+    std::vector<Response> &out = lane.out;
+    if (out.empty())
+        return;
     trace::Tracer *tracer = cfg_.tracer;
-    emu::EmuHyperPlane &dev = *txDevs_[index];
-    queueing::MpmcQueue<Response> &queue = *txQueues_[index];
-    UdpSocket &sock = txSockets_[index];
-
-    const unsigned shard = txShard(index);
-    telemetry::CounterShards &hot = *hotCounters_;
+    const unsigned shard = lane.shard;
     telemetry::StageLatencyShards *lat = stageLat_.get();
     telemetry::FlightRecorder &flight = *flight_;
 
-    std::vector<Response> pending;
-    std::vector<TxView> views;
-
-    const auto flush = [&](std::size_t n) {
-        pending.clear();
-        queue.popBatch(pending, n);
-        if (pending.empty())
-            return;
-        // sendmmsg gathers straight from the pool frames; the frames
-        // release back to their pools when `pending` clears next round.
-        views.clear();
-        views.reserve(pending.size());
-        for (const Response &r : pending)
-            views.push_back(TxView{r.frame.data(), r.len, &r.peer});
-        const std::size_t sent =
-            sock.sendBatch(views.data(), views.size());
-        hot.add(shard, telemetry::HotCounter::TxPackets, sent);
-        if (sent < views.size()) {
-            counters_.txSendErrors.fetch_add(
-                views.size() - sent, std::memory_order_relaxed);
-        }
-        if (lat) {
-            // One clock read covers the whole sent batch.  doneNs == 0
-            // means no worker finish timestamp exists — a typed reject
-            // or a request skipped by stage decimation — so neither
-            // per-request sample applies.
-            const std::uint64_t txNs = nowNs();
-            for (std::size_t i = 0; i < sent; ++i) {
-                const Response &r = pending[i];
-                if (r.doneNs != 0) {
-                    lat->record(
-                        shard, telemetry::ServerStage::ServiceTx,
-                        r.tenant,
-                        static_cast<double>(txNs - r.doneNs));
-                    lat->record(
-                        shard, telemetry::ServerStage::EndToEnd,
-                        r.tenant,
-                        static_cast<double>(txNs - r.rxNs));
-                }
-            }
-        }
-        if (flight.enabled()) {
-            const Tick t = nowTicks();
-            for (std::size_t i = 0; i < sent; ++i) {
-                if (flight.sampled(pending[i].seq)) {
-                    flight.stamp(shard, trace::Stage::Completion,
-                                 trace::Phase::Instant,
-                                 trace::trackDevice, t,
-                                 invalidQueueId, pending[i].seq);
-                }
-            }
-        }
-        if (HP_TRACE_ON(tracer)) {
-            for (std::size_t i = 0; i < sent; ++i) {
-                tracer->instant(trace::Stage::Completion,
-                                trace::trackDevice, nowTicks(),
-                                invalidQueueId, pending[i].seq);
-            }
-        }
-    };
-
-    while (txRunning_.load(std::memory_order_relaxed)) {
-        const auto qid = dev.qwait(milliseconds(5));
-        if (!qid)
-            continue;
-        const std::uint64_t n = dev.take(*qid, cfg_.rxBatch);
-        if (n == 0)
-            continue;
-        flush(n);
+    // sendmmsg gathers straight from the pool frames; the frames go
+    // back to their pools when `out` is cleared below.
+    lane.views.clear();
+    for (const Response &r : out)
+        lane.views.push_back(TxView{r.frame.data(), r.len, &r.peer});
+    const std::size_t sent =
+        lane.sock->sendBatch(lane.views.data(), lane.views.size());
+    hotCounters_->add(shard, telemetry::HotCounter::TxPackets, sent);
+    if (sent < out.size()) {
+        counters_.txSendErrors.fetch_add(out.size() - sent,
+                                         std::memory_order_relaxed);
     }
-    // Final flush: answer everything already queued before exiting.
-    while (queue.size() > 0)
-        flush(cfg_.rxBatch);
+    if (lat) {
+        // One clock read covers the whole sent batch.  doneNs == 0
+        // means no service finish timestamp exists — a typed reject or
+        // a request skipped by stage decimation — so neither
+        // per-request sample applies.
+        const std::uint64_t txNs = nowNs();
+        for (std::size_t i = 0; i < sent; ++i) {
+            const Response &r = out[i];
+            if (r.doneNs != 0) {
+                lat->record(shard, telemetry::ServerStage::ServiceTx,
+                            r.tenant,
+                            static_cast<double>(txNs - r.doneNs));
+                lat->record(shard, telemetry::ServerStage::EndToEnd,
+                            r.tenant,
+                            static_cast<double>(txNs - r.rxNs));
+            }
+        }
+    }
+    if (flight.enabled()) {
+        const Tick t = nowTicks();
+        for (std::size_t i = 0; i < sent; ++i) {
+            if (flight.sampled(out[i].seq)) {
+                flight.stamp(shard, trace::Stage::Completion,
+                             trace::Phase::Instant, trace::trackDevice, t,
+                             invalidQueueId, out[i].seq);
+            }
+        }
+    }
+    if (HP_TRACE_ON(tracer)) {
+        for (std::size_t i = 0; i < sent; ++i) {
+            tracer->instant(trace::Stage::Completion, trace::trackDevice,
+                            nowTicks(), invalidQueueId, out[i].seq);
+        }
+    }
+    out.clear();
 }
 
 void
@@ -1366,6 +1309,9 @@ UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
     hot("rx_packets", telemetry::HotCounter::RxPackets);
     hot("rx_parse_errors", telemetry::HotCounter::ParseErrors);
     hot("requests_served", telemetry::HotCounter::Served);
+    reg.addScalar(prefix + ".requests_served_inline", [this] {
+        return static_cast<double>(counterSnapshot().servedInline);
+    });
     hot("tx_packets", telemetry::HotCounter::TxPackets);
     scalar("rx_queue_drops", &counters_.queueDrops);
     scalar("shed_rate_limited", &counters_.shedRateLimited);
@@ -1374,7 +1320,6 @@ UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
     scalar("storm_demotions", &counters_.stormDemotions);
     scalar("rings_dropped", &counters_.ringsDropped);
     scalar("responses_bad_status", &counters_.badStatus);
-    scalar("tx_queue_drops", &counters_.txDrops);
     scalar("tx_send_errors", &counters_.txSendErrors);
     scalar("watchdog_sweeps", &counters_.watchdogSweeps);
     scalar("watchdog_recoveries", &counters_.watchdogRecoveries);

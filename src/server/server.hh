@@ -2,23 +2,29 @@
  * @file
  * An event-driven UDP data-plane server on top of the QWAIT runtime.
  *
- * The pipeline is the paper's Figure 2 made real:
+ * The pipeline is the paper's Figure 2 made real, run to completion:
  *
  *   RX threads ──> per-flow request queues ──> EmuHyperPlane doorbells
- *   (epoll + recvmmsg,      (MpmcQueue)           (ring per batch)
- *    SO_REUSEPORT shards)                              │
- *                                                      v
- *   TX threads <── per-TX response queues <── DataPlanePool workers
- *   (sendmmsg)                                (QWAIT -> take -> handler)
+ *   (epoll + recvmmsg,      (MpmcQueue)         (ring per batch, wake
+ *    SO_REUSEPORT shards)                        deferred)
+ *        │                                          │
+ *        │ serve one grant inline                   │ wake one worker if
+ *        v                                          v work is left
+ *   take -> handler -> sendmmsg          DataPlanePool workers
+ *   (on the RX socket)                   (QWAIT -> take -> handler ->
+ *                                         sendmmsg on their own socket)
  *
  * RX threads parse untrusted datagrams with the src/net codecs (parsers
  * fail closed), steer each request to a task queue by hashing its flow
  * key, enqueue it, and ring the queue's doorbell — one ring per
- * (batch, queue), so a 32-packet burst costs one wakeup per touched
- * queue.  Workers run the Algorithm 1 service loop and execute the real
- * workload handlers (echo, GRE-in-IPv6 encapsulation via src/net,
- * session-affinity steering via src/workloads).  TX threads batch the
- * replies back out.
+ * (batch, queue), with the wake deferred.  The RX thread then serves
+ * one grant itself (qwaitNonBlocking -> take -> handler), sends those
+ * replies and the batch's typed rejects in one sendmmsg, and wakes a
+ * parked worker only if grantable work remains.  Below capacity that
+ * single grant covers the batch and no other thread runs; at
+ * saturation the workers serve the rest, each sending its own replies.
+ * Handlers are the real workloads (echo, GRE-in-IPv6 encapsulation via
+ * src/net, session-affinity steering via src/workloads, stateful apps).
  *
  * The fault layer rides along: an injectable RX->doorbell ring drop
  * models the lost-notification fault the simulator studies, and a
@@ -30,7 +36,8 @@
  *
  * With a Tracer attached, every stage stamps events the existing
  * Perfetto exporter renders: DoorbellWrite (RX), QwaitReturn (grant),
- * Service spans (worker), Completion (TX), plus the watchdog events.
+ * Service spans and Completion (the serving thread), plus the watchdog
+ * events.
  * Ticks are nsToTicks(ns since start), so exported microseconds are
  * wall-clock microseconds.
  */
@@ -118,11 +125,11 @@ struct ServerConfig
     /** Bind port; 0 picks an ephemeral port (see UdpServer::port()). */
     std::uint16_t port = 0;
 
-    /** RX threads; each owns an SO_REUSEPORT shard of the port. */
+    /** RX threads; each owns an SO_REUSEPORT shard of the port and
+     *  sends its typed rejects and inline-served replies on it. */
     unsigned rxThreads = 1;
-    /** TX threads; each owns a reply socket + response queue. */
-    unsigned txThreads = 1;
-    /** QWAIT worker threads in the DataPlanePool. */
+    /** QWAIT worker threads in the DataPlanePool; each sends its
+     *  replies on a socket of its own. */
     unsigned workers = 2;
     /** Task queues requests are steered across. */
     unsigned numQueues = 16;
@@ -131,7 +138,7 @@ struct ServerConfig
     unsigned rxBatch = 32;
     /**
      * Zero-copy frame pool size per RX shard.  Frames hold a datagram
-     * from recvmmsg to sendmmsg (RX -> queue -> worker -> TX), so this
+     * from recvmmsg to sendmmsg (RX -> queue -> serving thread), so this
      * bounds one shard's requests in flight; a dry pool sheds new
      * arrivals with typed rejects from the reserve below.
      */
@@ -193,8 +200,8 @@ struct ServerConfig
 
 /**
  * Cold server counters (all monotonic).  Unlike the simulator's
- * stats::Counter these are atomics — RX shards, workers, TX threads,
- * and the watchdog increment them concurrently.  The *hot* per-packet
+ * stats::Counter these are atomics — RX shards, workers and the
+ * watchdog increment them concurrently.  The *hot* per-packet
  * counters (rx_batches, rx_packets, parse_errors, served, tx_packets)
  * moved into telemetry::CounterShards — one single-writer cache line
  * per stage thread instead of a contended fetch_add — and are read
@@ -211,7 +218,6 @@ struct ServerCounters
     std::atomic<std::uint64_t> stormDemotions{0};
     std::atomic<std::uint64_t> ringsDropped{0};
     std::atomic<std::uint64_t> badStatus{0};
-    std::atomic<std::uint64_t> txDrops{0};
     std::atomic<std::uint64_t> txSendErrors{0};
     std::atomic<std::uint64_t> watchdogSweeps{0};
     std::atomic<std::uint64_t> watchdogRecoveries{0};
@@ -227,6 +233,8 @@ struct ServerCounterSnapshot
     std::uint64_t rxPackets = 0;
     std::uint64_t parseErrors = 0;
     std::uint64_t served = 0;
+    /** Part of served that RX threads served on their own grant. */
+    std::uint64_t servedInline = 0;
     std::uint64_t txPackets = 0;
     std::uint64_t queueDrops = 0;
     std::uint64_t poolDrops = 0;
@@ -240,6 +248,9 @@ struct ServerCounterSnapshot
     std::uint64_t stormDemotions = 0;
     std::uint64_t ringsDropped = 0;
     std::uint64_t badStatus = 0;
+    /** Always 0: replies leave on the thread that served them, so no
+     *  queue sits between service and send to overflow.  Kept for
+     *  callers that sum it into their loss accounting. */
     std::uint64_t txDrops = 0;
     std::uint64_t txSendErrors = 0;
     std::uint64_t watchdogSweeps = 0;
@@ -260,15 +271,15 @@ class UdpServer
     UdpServer &operator=(const UdpServer &) = delete;
 
     /**
-     * Bind the sockets and launch RX / worker / TX / watchdog threads.
+     * Bind the sockets and launch RX / worker / watchdog threads.
      * @return false if sockets are unavailable (sandboxes) or the bind
      *         fails; the server is then inert and safe to destroy.
      */
     bool start();
 
     /**
-     * SIGINT-safe teardown: stop accepting, drain queued requests and
-     * responses within @p drainDeadline, then stop and join every
+     * SIGINT-safe teardown: stop accepting, drain queued requests
+     * within @p drainDeadline, then stop and join every
      * thread.  Idempotent.  No handler runs after this returns.
      *
      * @return true if everything drained before the deadline.
@@ -402,44 +413,58 @@ class UdpServer
         std::uint32_t len = 0;
         std::uint64_t seq = 0;
         std::uint64_t rxNs = 0;   ///< request receive time
-        std::uint64_t doneNs = 0; ///< worker finish (0: typed reject)
+        std::uint64_t doneNs = 0; ///< service finish (0: reject/unsampled)
         unsigned tenant = 0;
     };
 
+    /**
+     * What one serving thread (an RX shard or a pool worker) owns: its
+     * telemetry shard and trace track, its steering table, the socket
+     * its replies leave on, and reusable batch buffers.  Serving a
+     * grant touches no other thread's lane.
+     */
+    struct Lane
+    {
+        unsigned shard = 0;
+        std::uint32_t track = 0;
+        UdpSocket *sock = nullptr;
+        std::unique_ptr<workloads::PacketSteering> steerer;
+        std::vector<Request> reqs;
+        std::vector<Response> out; ///< replies waiting for sendReplies()
+        std::vector<TxView> views;
+    };
+
     void rxLoop(unsigned index);
-    void txLoop(unsigned index);
     void watchdogLoop();
-    void handleBatch(QueueId qid, std::uint64_t n);
-    Response makeResponse(unsigned worker, QueueId qid, Request &req);
+    /** Serve @p n granted items of @p qid; replies go to lane.out. */
+    void serveGrant(Lane &lane, QueueId qid, std::uint64_t n);
+    Response makeResponse(Lane &lane, QueueId qid, Request &req);
     /**
      * Fail-fast reject from RX steering: build a payload-free typed
-     * reject response and enqueue it straight onto a TX queue, skipping
-     * the workers entirely.  @p txCounts accumulates pending TX rings
-     * (flushed once per RX batch).  @p frame is the request's own frame
-     * when one exists (the reject reuses it); a null handle draws from
-     * the reject reserve, and if that too is dry the packet is counted
-     * in poolDrops and dropped.
+     * reject into lane.out, skipping the queues entirely.  @p frame is
+     * the request's own frame when one exists (the reject reuses it); a
+     * null handle draws from the reject reserve, and if that too is dry
+     * the packet is counted in poolDrops and dropped.
      */
-    void enqueueReject(const sockaddr_in &peer,
-                       const wire::RequestHeader &hdr,
-                       wire::Status status, QueueId qid, unsigned tenant,
-                       std::uint64_t rxNs,
-                       std::vector<std::uint32_t> &txCounts,
-                       FrameHandle &&frame);
+    void queueReject(Lane &lane, const sockaddr_in &peer,
+                     const wire::RequestHeader &hdr, wire::Status status,
+                     unsigned tenant, std::uint64_t rxNs,
+                     FrameHandle &&frame);
+    /**
+     * sendmmsg lane.out on the lane's socket, record the service->tx
+     * and e2e samples and Completion stamps, then release the frames.
+     */
+    void sendReplies(Lane &lane);
 
     Tick nowTicks() const;
 
-    // Telemetry shard ids: one single-writer shard per stage thread
-    // plus one for the watchdog.
+    // Telemetry shard ids: one single-writer shard per RX shard and
+    // worker (also their lane index) plus one for the watchdog.
     unsigned rxShard(unsigned i) const { return i; }
     unsigned workerShard(unsigned w) const { return cfg_.rxThreads + w; }
-    unsigned txShard(unsigned t) const
-    {
-        return cfg_.rxThreads + cfg_.workers + t;
-    }
     unsigned watchdogShard() const
     {
-        return cfg_.rxThreads + cfg_.workers + cfg_.txThreads;
+        return cfg_.rxThreads + cfg_.workers;
     }
     unsigned numTelemetryShards() const { return watchdogShard() + 1; }
 
@@ -454,24 +479,22 @@ class UdpServer
     ServerCounters counters_;
 
     std::unique_ptr<emu::EmuHyperPlane> hpDev_;
-    std::vector<std::unique_ptr<emu::EmuHyperPlane>> txDevs_;
-    // Frame pools are declared before the queues on purpose: members
-    // destroy in reverse order, so queues still holding frame handles
-    // at destruction release them into live pools.
+    // Frame pools are declared before the queues and lanes on purpose:
+    // members destroy in reverse order, so queues still holding frame
+    // handles at destruction release them into live pools.
     std::vector<std::unique_ptr<FramePool>> rxPools_;
     std::unique_ptr<FramePool> rejectPool_;
     std::vector<std::unique_ptr<queueing::MpmcQueue<Request>>> reqQueues_;
-    std::vector<std::unique_ptr<queueing::MpmcQueue<Response>>>
-        txQueues_;
     std::unique_ptr<emu::DataPlanePool> pool_;
-    std::vector<std::unique_ptr<workloads::PacketSteering>> steerers_;
     /** Stateful app handlers, indexed by app::AppKind; shard == qid. */
     std::vector<std::unique_ptr<app::StatefulHandler>> apps_;
 
     std::vector<UdpSocket> rxSockets_;
-    std::vector<UdpSocket> txSockets_;
+    /** Reply sockets of the pool workers (RX replies on rxSockets_). */
+    std::vector<UdpSocket> workerSockets_;
+    /** One per serving thread, indexed like the telemetry shards. */
+    std::vector<Lane> lanes_;
     std::vector<std::thread> rxThreads_;
-    std::vector<std::thread> txThreads_;
     std::thread watchdogThread_;
 
     std::unique_ptr<TenantTable> tenants_;
@@ -517,7 +540,6 @@ class UdpServer
 
     std::atomic<bool> running_{false};
     std::atomic<bool> rxRunning_{false};
-    std::atomic<bool> txRunning_{false};
     std::atomic<bool> watchdogRunning_{false};
 
     std::uint16_t port_ = 0;

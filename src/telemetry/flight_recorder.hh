@@ -8,7 +8,7 @@
  * request receives *all* of its stage stamps and exports as a complete
  * span chain, while 1-in-N sampling keeps the stamp rate low.
  *
- * Each shard (RX thread, worker, TX thread, watchdog) is the single
+ * Each shard (RX thread, worker, watchdog) is the single
  * writer of its own ring; stamp() is a handful of relaxed atomic
  * stores guarded by a per-slot seqlock.  snapshot() may run from any
  * thread at any time — including from a signal-triggered dump while

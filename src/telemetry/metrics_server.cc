@@ -186,8 +186,10 @@ MetricsServer::serveTcp()
     const std::string h = hdr.str();
     if (writeAll(fd, h.data(), h.size()))
         writeAll(fd, body.data(), body.size());
-    ::close(fd);
+    // Count before the close that ends the client's read, so a client
+    // that has its answer always sees it counted.
     served_.fetch_add(1, std::memory_order_relaxed);
+    ::close(fd);
 }
 
 void
@@ -221,10 +223,11 @@ MetricsServer::serveUdp()
         ::sendto(udpFd_, body.data() + off, len, 0,
                  reinterpret_cast<sockaddr *>(&peer), peerLen);
     }
-    // Empty terminator datagram marks end-of-body.
+    // Empty terminator datagram marks end-of-body; count the request
+    // first, as for HTTP.
+    served_.fetch_add(1, std::memory_order_relaxed);
     ::sendto(udpFd_, "", 0, 0, reinterpret_cast<sockaddr *>(&peer),
              peerLen);
-    served_.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace telemetry

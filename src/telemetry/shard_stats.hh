@@ -4,7 +4,7 @@
  * latency histograms.
  *
  * The server's hottest counters used to be contended std::atomic
- * fetch_adds touched by every RX shard, worker, and TX thread.  Here
+ * fetch_adds touched by every RX shard and worker.  Here
  * each stage thread owns a cache-line-aligned block of cells and bumps
  * them with a plain load+store (memory_order_relaxed, no RMW): with
  * exactly one writer per cell there is nothing to win a race against,
@@ -61,7 +61,7 @@ enum class HotCounter : unsigned
     RxBatches,   ///< recvmmsg batches with >= 1 datagram
     RxPackets,   ///< datagrams received
     ParseErrors, ///< datagrams rejected by the wire codec
-    Served,      ///< requests completed by a worker
+    Served,      ///< requests completed by a serving thread
     TxPackets,   ///< responses sent
 };
 
@@ -71,7 +71,7 @@ const char *toString(HotCounter c);
 
 /**
  * Per-shard blocks of hot counters.  A "shard" is one stage thread
- * (RX shard, worker, or TX thread); each block is cache-line aligned
+ * (RX shard, worker, or the watchdog); each block is cache-line aligned
  * so two threads never share a line.
  */
 class CounterShards
@@ -113,8 +113,8 @@ enum class ServerStage : unsigned
 {
     RxAdmit,      ///< datagram received -> admission verdict
     AdmitDoorbell,///< admission verdict -> doorbell ring
-    QwaitService, ///< admission -> worker dequeues (queue + QWAIT)
-    ServiceTx,    ///< worker done -> response on the wire
+    QwaitService, ///< admission -> grant dequeued (RX inline or worker)
+    ServiceTx,    ///< service done -> own sendmmsg, same thread
     EndToEnd,     ///< datagram received -> response on the wire
 };
 

@@ -104,6 +104,8 @@ TEST(JobsFromArgs, ParsesFlag)
     EXPECT_EQ(harness::jobsFromArgs(3, const_cast<char **>(argv1)), 6u);
     const char *argv2[] = {"bench", "--jobs", "0"};
     EXPECT_EQ(harness::jobsFromArgs(3, const_cast<char **>(argv2)), 1u);
+    const char *argvNeg[] = {"bench", "--jobs", "-3"};
+    EXPECT_EQ(harness::jobsFromArgs(3, const_cast<char **>(argvNeg)), 1u);
     const char *argv3[] = {"bench"};
     EXPECT_EQ(harness::jobsFromArgs(1, const_cast<char **>(argv3)),
               harness::defaultJobs());

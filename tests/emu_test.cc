@@ -313,6 +313,76 @@ TEST(EmuHyperPlane, RegistersWakeCountersInRegistry)
     EXPECT_DOUBLE_EQ(reg.value("dev.grants"), 1.0);
 }
 
+TEST(EmuHyperPlane, DeferredRingServedByRingerWakesNobody)
+{
+    // Run to completion: a producer rings with the wake deferred, takes
+    // the grant itself, and serves everything it rang.  The parked
+    // waiter must sleep through it and time out.
+    EmuHyperPlane hp(4);
+    const auto q = hp.addQueue();
+    std::atomic<bool> granted{false};
+    std::thread waiter([&] { granted = hp.qwait(200ms).has_value(); });
+    std::this_thread::sleep_for(50ms);
+
+    hp.ring(*q, 4, EmuHyperPlane::Wake::Deferred);
+    EXPECT_EQ(hp.wakeups(), 0u);
+    const auto g = hp.qwaitNonBlocking();
+    ASSERT_EQ(g, q);
+    EXPECT_EQ(hp.take(*g, 16), 4u);
+    EXPECT_FALSE(hp.wakeOneIfGrantable());
+    waiter.join();
+
+    EXPECT_FALSE(granted.load());
+    EXPECT_EQ(hp.wakeups(), 0u);
+    EXPECT_EQ(hp.qwaitTimeouts(), 1u);
+}
+
+TEST(EmuHyperPlane, DeferredRingLeftoverWakesExactlyOneWaiter)
+{
+    // Whatever the ringer's own grant leaves behind wakes exactly one
+    // of two parked waiters: a second rung queue through
+    // wakeOneIfGrantable(), a residual in the granted queue through
+    // take()'s RECONSIDER (and then wakeOneIfGrantable() adds nothing).
+    for (const bool residual : {false, true}) {
+        SCOPED_TRACE(residual ? "residual in the granted queue"
+                              : "second rung queue");
+        EmuHyperPlane hp(4);
+        const auto a = hp.addQueue();
+        const auto b = hp.addQueue();
+        std::atomic<std::uint64_t> claimed{0};
+        std::atomic<int> timedOut{0};
+        std::vector<std::thread> waiters;
+        for (int i = 0; i < 2; ++i) {
+            waiters.emplace_back([&] {
+                if (const auto qid = hp.qwait(300ms))
+                    claimed += hp.take(*qid, 16);
+                else
+                    timedOut++;
+            });
+        }
+        std::this_thread::sleep_for(50ms);
+
+        if (residual) {
+            hp.ring(*a, 20, EmuHyperPlane::Wake::Deferred);
+        } else {
+            hp.ring(*a, 4, EmuHyperPlane::Wake::Deferred);
+            hp.ring(*b, 4, EmuHyperPlane::Wake::Deferred);
+        }
+        EXPECT_EQ(hp.wakeups(), 0u);
+        const auto g = hp.qwaitNonBlocking();
+        ASSERT_EQ(g, a);
+        EXPECT_EQ(hp.take(*g, 16), residual ? 16u : 4u);
+        EXPECT_EQ(hp.wakeOneIfGrantable(), !residual);
+        for (auto &t : waiters)
+            t.join();
+
+        EXPECT_EQ(claimed.load(), 4u);
+        EXPECT_EQ(timedOut.load(), 1);
+        EXPECT_EQ(hp.wakeups(), 1u);
+        EXPECT_EQ(hp.pendingItems(*a) + hp.pendingItems(*b), 0u);
+    }
+}
+
 TEST(EmuHyperPlane, WeightedPolicyFavorsHeavyQueue)
 {
     EmuHyperPlane hp(4, core::ServicePolicy::WeightedRoundRobin);

@@ -47,7 +47,6 @@ TEST(ServerLoopback, EchoAnswersNearlyEverything)
     ServerConfig cfg;
     cfg.rxThreads = 2;
     cfg.workers = 2;
-    cfg.txThreads = 1;
     cfg.numQueues = 16;
     UdpServer srv(cfg);
     START_OR_SKIP(srv);
@@ -241,10 +240,91 @@ TEST(ServerLoopback, RegistryExposesServerAndDeviceCounters)
     EXPECT_TRUE(reg.has("server.rx_packets"));
     EXPECT_TRUE(reg.has("server.requests_served"));
     EXPECT_TRUE(reg.has("server.tx_packets"));
+    EXPECT_TRUE(reg.has("server.requests_served_inline"));
+    // No TX queue exists, so no TX-queue drop row may be exported.
+    EXPECT_FALSE(reg.has("server.tx_queue_drops"));
+    std::string contentType;
+    for (const char *path : {"/metrics", "/stats.json"}) {
+        const std::string page = srv.metricsPage(path, contentType);
+        EXPECT_NE(page.find("rx_queue_drops"), std::string::npos) << path;
+        EXPECT_EQ(page.find("tx_queue_drops"), std::string::npos) << path;
+    }
     EXPECT_TRUE(reg.has("server.dev.grants"));
     EXPECT_TRUE(reg.has("server.dev.wakeups"));
     EXPECT_GT(reg.value("server.rx_packets"), 0.0);
     EXPECT_GT(reg.value("server.dev.grants"), 0.0);
+}
+
+TEST(ServerLoopback, BurstWiderThanOneGrantSpreadsToWorkers)
+{
+    // Each burst is one sendmmsg of requests on many flows, so one RX
+    // batch rings many queues.  The RX thread serves one grant inline;
+    // the rest must reach the pool workers through the deferred wake,
+    // and every request must be answered exactly once.
+    ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.numQueues = 16;
+    UdpServer srv(cfg);
+    START_OR_SKIP(srv);
+
+    auto sockOpt = UdpSocket::open();
+    ASSERT_TRUE(sockOpt.has_value());
+    UdpSocket &sock = *sockOpt;
+    sockaddr_in peer{};
+    peer.sin_family = AF_INET;
+    peer.sin_addr.s_addr = htonl(0x7f000001);
+    peer.sin_port = htons(srv.port());
+
+    constexpr unsigned burst = 32;
+    constexpr unsigned bursts = 10;
+    std::vector<std::uint8_t> answered(burst * bursts, 0);
+    std::uint64_t received = 0, duplicates = 0, badStatus = 0;
+    std::vector<Datagram> in;
+    const auto drain = [&](std::chrono::steady_clock::time_point until,
+                           std::uint64_t want) {
+        while (received < want && std::chrono::steady_clock::now() < until) {
+            in.clear();
+            if (sock.recvBatch(in, 64) == 0) {
+                std::this_thread::sleep_for(200us);
+                continue;
+            }
+            for (const Datagram &d : in) {
+                const auto rh =
+                    wire::parseResponse(d.bytes.data(), d.bytes.size());
+                ASSERT_TRUE(rh.has_value());
+                ASSERT_LT(rh->seq, answered.size());
+                badStatus += rh->status != wire::statusOk;
+                duplicates += answered[rh->seq]++ > 0;
+                ++received;
+            }
+        }
+    };
+
+    std::vector<Datagram> out(burst);
+    for (unsigned b = 0; b < bursts; ++b) {
+        for (unsigned i = 0; i < burst; ++i) {
+            wire::RequestHeader hdr;
+            hdr.seq = b * burst + i;
+            hdr.flowId = i; // 32 flows spread over the 16 queues
+            out[i].peer = peer;
+            out[i].bytes.resize(wire::RequestHeader::wireSize);
+            ASSERT_NE(wire::buildRequest(out[i].bytes.data(),
+                                         out[i].bytes.size(), hdr, nullptr),
+                      0u);
+        }
+        ASSERT_EQ(sock.sendBatch(out.data(), out.size()), out.size());
+        drain(std::chrono::steady_clock::now() + 2s, (b + 1) * burst);
+    }
+    EXPECT_TRUE(srv.stop());
+
+    EXPECT_EQ(received, std::uint64_t{burst} * bursts);
+    EXPECT_EQ(duplicates, 0u);
+    EXPECT_EQ(badStatus, 0u);
+    const ServerCounterSnapshot s = srv.counterSnapshot();
+    EXPECT_EQ(s.served, std::uint64_t{burst} * bursts);
+    EXPECT_GT(s.servedInline, 0u) << "RX must serve its own grant";
+    EXPECT_GT(s.served - s.servedInline, 0u)
+        << "work past one grant must reach the pool workers";
 }
 
 TEST(ServerLoopback, EchoPathIsZeroCopy)

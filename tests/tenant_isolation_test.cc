@@ -406,7 +406,6 @@ twoTenantConfig(double aggressorLimit)
 {
     server::ServerConfig sc;
     sc.rxThreads = 1;
-    sc.txThreads = 1;
     sc.workers = 2;
     sc.numQueues = 8;
     sc.policy = core::ServicePolicy::WeightedRoundRobin;
