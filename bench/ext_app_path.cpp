@@ -6,9 +6,8 @@
  * Part 1 (always runs, no sockets needed): each app as a *simulator*
  * workload — Kind::{HeavyHitter,ConntrackLb,SpinRtt} behind a
  * HyperPlane plane — with a determinism probe (two identical runs must
- * agree exactly on completions and handler counters; the stateful
- * workloads must not break the tick-parallel backend's bit-identical
- * guarantee).
+ * agree exactly on completions and handler counters: the stateful
+ * workloads must keep the simulator seeded and bit-identical).
  *
  * Part 2 (skips gracefully without sockets): each app as a *server*
  * handler — the real UDP server on loopback, flow-coherent loadgen

@@ -11,8 +11,8 @@
  *
  * Points above 128 cores shrink the measured window in proportion so
  * every point simulates a comparable event count; they exist to prove
- * the 512/1024-core machines build and run (directory sharer ids,
- * partitioner), and are excluded from the flatness gate because the
+ * the 512/1024-core machines build and run (directory sharer ids),
+ * and are excluded from the flatness gate because the
  * simulated state is far past host cache reach there and the residual
  * capacity slope is a host property, not a simulator regression.
  *
@@ -26,12 +26,6 @@
  *                    wall time is reported (default 3).  The minimum
  *                    is the standard noise-robust estimator: shared
  *                    hosts only ever add time, never remove it.
- *   --sim-threads N  run every point with the token-affine parallel
- *                    backend at N sim threads (default: sequential).
- *                    With --check, also times one mid-size point at 1
- *                    vs N threads and applies a speedup gate on hosts
- *                    with >= 4 CPUs ("skipped(single-thread-host)"
- *                    elsewhere); event counts must match exactly.
  *   --json FILE      machine-readable export
  *   --check          exit nonzero if the flatness/budget gates fail
  *   --budget-sec S   wall-clock budget for the whole run (with --check)
@@ -57,7 +51,6 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dp/sdp_system.hh"
@@ -83,7 +76,7 @@ struct ScalePoint
 };
 
 dp::SdpConfig
-configFor(unsigned cores, unsigned simThreads)
+configFor(unsigned cores)
 {
     dp::SdpConfig cfg;
     cfg.plane = dp::PlaneKind::HyperPlane;
@@ -101,14 +94,13 @@ configFor(unsigned cores, unsigned simThreads)
     // point instead of 8x more.
     cfg.measureUs = cores > 128 ? 6000.0 * 128.0 / cores : 6000.0;
     cfg.seed = 97;
-    cfg.simThreads = simThreads;
     return cfg;
 }
 
 ScalePoint
-runPoint(unsigned cores, unsigned reps, unsigned simThreads)
+runPoint(unsigned cores, unsigned reps)
 {
-    const dp::SdpConfig cfg = configFor(cores, simThreads);
+    const dp::SdpConfig cfg = configFor(cores);
     ScalePoint best{};
     for (unsigned rep = 0; rep < reps; ++rep) {
         // The simulation is deterministic, so every rep produces the
@@ -152,16 +144,12 @@ main(int argc, char **argv)
     const char *repsArg = harness::argValue(argc, argv, "--reps");
     const char *budgetArg = harness::argValue(argc, argv, "--budget-sec");
     const char *flatArg = harness::argValue(argc, argv, "--flat-factor");
-    const char *simThreadsArg =
-        harness::argValue(argc, argv, "--sim-threads");
     const double budgetSec =
         budgetArg != nullptr ? std::atof(budgetArg) : 0.0;
     const double flatFactor =
         flatArg != nullptr ? std::atof(flatArg) : 2.5;
     const unsigned reps = std::max(
         1, repsArg != nullptr ? std::atoi(repsArg) : 3);
-    const unsigned simThreads = static_cast<unsigned>(std::max(
-        0, simThreadsArg != nullptr ? std::atoi(simThreadsArg) : 0));
 
     std::vector<unsigned> coreCounts{16, 32, 64, 128, 512, 1024};
     if (coresArg != nullptr)
@@ -170,7 +158,7 @@ main(int argc, char **argv)
     const auto suiteT0 = std::chrono::steady_clock::now();
     std::vector<ScalePoint> pts;
     for (const unsigned c : coreCounts)
-        pts.push_back(runPoint(c, reps, simThreads));
+        pts.push_back(runPoint(c, reps));
     const double suiteSec = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - suiteT0)
                                 .count();
@@ -209,37 +197,9 @@ main(int argc, char **argv)
     std::printf("total wall: %.2f s%s\n", suiteSec,
                 budgetSec > 0.0 ? " (budgeted)" : "");
 
-    // Parallel-backend speedup probe: one mid-size point timed with the
-    // sequential kernel and with the token-affine backend.  Events must
-    // match exactly everywhere; the wall-clock gate only means anything
-    // when the host has cores to parallelize onto, so it follows the
-    // perf_smoke skip convention on small hosts.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const bool speedupCheckable = hw >= 4 && simThreads >= 4;
-    double seqWall = 0.0, parWall = 0.0, speedup = 0.0;
-    bool eventsMatch = true;
-    std::string speedupCheck = "not_requested";
-    if (simThreads > 1) {
-        const ScalePoint seq = runPoint(64, 1, 1);
-        const ScalePoint par = runPoint(64, 1, simThreads);
-        seqWall = seq.wallSec;
-        parWall = par.wallSec;
-        speedup = parWall > 0.0 ? seqWall / parWall : 0.0;
-        eventsMatch = seq.events == par.events &&
-                      seq.throughputMtps == par.throughputMtps;
-        speedupCheck = !speedupCheckable ? "skipped(single-thread-host)"
-                       : speedup >= 1.0 ? "ok"
-                                        : "slow";
-        std::printf("sim-threads %u on 64 cores: %.3f s -> %.3f s "
-                    "(%.2fx), events %s, check: %s\n",
-                    simThreads, seqWall, parWall, speedup,
-                    eventsMatch ? "identical" : "DIFFER",
-                    speedupCheck.c_str());
-    }
-
     if (jsonPath != nullptr) {
         std::ostringstream os;
-        os << "{\n\"host\":" << harness::hostJson(0, simThreads)
+        os << "{\n\"host\":" << harness::hostJson()
            << ",\n\"points\":[";
         for (std::size_t i = 0; i < pts.size(); ++i) {
             const auto &p = pts[i];
@@ -257,16 +217,6 @@ main(int argc, char **argv)
            << ",\n\"per_event_spread\":"
            << stats::jsonNumber(worstRatio)
            << ",\n\"total_wall_sec\":" << stats::jsonNumber(suiteSec);
-        if (simThreads > 1) {
-            os << ",\n\"parallel\":{\"sim_threads\":" << simThreads
-               << ",\"seq_wall_sec\":" << stats::jsonNumber(seqWall)
-               << ",\"par_wall_sec\":" << stats::jsonNumber(parWall)
-               << ",\"speedup\":" << stats::jsonNumber(speedup)
-               << ",\"events_identical\":"
-               << (eventsMatch ? "true" : "false")
-               << ",\"speedup_check\":" << stats::jsonString(speedupCheck)
-               << '}';
-        }
         os << "\n}\n";
         harness::writeTextFile(jsonPath, os.str());
     }
@@ -279,17 +229,6 @@ main(int argc, char **argv)
         std::printf("CHECK FAILED: per-event cost spread %.2fx exceeds "
                     "%.2fx\n",
                     worstRatio, flatFactor);
-        ok = false;
-    }
-    if (simThreads > 1 && !eventsMatch) {
-        std::printf("CHECK FAILED: parallel backend diverged from the "
-                    "sequential kernel\n");
-        ok = false;
-    }
-    if (simThreads > 1 && speedupCheckable && speedup < 1.0) {
-        std::printf("CHECK FAILED: %u sim threads slower than "
-                    "sequential (%.2fx)\n",
-                    simThreads, speedup);
         ok = false;
     }
     if (budgetSec > 0.0 && suiteSec > budgetSec) {

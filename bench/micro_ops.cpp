@@ -307,13 +307,6 @@ BM_HeaderCheckSse2(benchmark::State &state)
 BENCHMARK(BM_HeaderCheckSse2);
 
 void
-BM_HeaderCheckAvx2(benchmark::State &state)
-{
-    benchHeaderCheckVariant(state, net::simd::headerCheckAvx2(), "avx2");
-}
-BENCHMARK(BM_HeaderCheckAvx2);
-
-void
 BM_GreEncapsulate(benchmark::State &state)
 {
     workloads::PacketEncapsulation wl(1);

@@ -4,17 +4,18 @@
  *
  * Times (a) representative single-point simulations, reporting host
  * wall-clock and simulated-events/sec straight off the kernel's
- * dispatch counter, (b) the parallel simulation backend (--sim-threads)
- * against the sequential kernel on one machine, byte-comparing results,
- * and (c) the full Figure 10 sweep at --jobs 1 and
+ * dispatch counter, (b) the hot-path SIMD kernels against their scalar
+ * references, and (c) the full Figure 10 sweep at --jobs 1 and
  * --jobs N, byte-comparing the two JSON exports to prove the parallel
  * runner changes wall-clock only.  Results land in BENCH_perf_smoke.json
  * at the repo root (override with --out) so successive PRs can track
  * the simulator's own performance.
  *
  * --check exits nonzero if the jobs-1 and jobs-N sweeps differ, if any
- * built-in capture overflowed the callback inline buffer, or — on hosts
- * with >= 4 hardware threads — if the parallel speedup falls below 2x.
+ * built-in capture overflowed the callback inline buffer, if a
+ * dispatched kernel disagrees with or runs under 0.8x of its scalar
+ * reference, or — on hosts with >= 4 hardware threads — if the sweep
+ * speedup falls below 2x.
  */
 
 #include <chrono>
@@ -231,63 +232,6 @@ timeKernels()
     return out;
 }
 
-/**
- * Parallel simulation backend: the same 16-core scale-out machine run
- * on the sequential kernel and on the token-affine backend, comparing
- * wall clock and byte-comparing the full results JSON (the backend is
- * bit-identical by construction; this keeps it honest).
- */
-struct ParallelPoint
-{
-    unsigned simThreads;
-    double seqWallSec;
-    double parWallSec;
-    double speedup;
-    bool identical;
-};
-
-ParallelPoint
-timeParallelBackend(unsigned simThreads)
-{
-    dp::SdpConfig cfg;
-    cfg.plane = dp::PlaneKind::HyperPlane;
-    cfg.org = dp::QueueOrg::ScaleOut;
-    cfg.numCores = 16;
-    cfg.numQueues = 128;
-    cfg.workload = workloads::Kind::PacketEncapsulation;
-    cfg.shape = traffic::Shape::FB;
-    cfg.offeredRatePerSec = 6.4e6;
-    cfg.warmupUs = 200.0;
-    cfg.measureUs = 6000.0;
-    cfg.seed = 97;
-
-    ParallelPoint out{simThreads, 0.0, 0.0, 0.0, false};
-    std::string seqResults, parResults;
-    std::uint64_t seqEvents = 0, parEvents = 0;
-    {
-        cfg.simThreads = 1;
-        dp::SdpSystem sys(cfg);
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto r = sys.run();
-        out.seqWallSec = secondsSince(t0);
-        seqResults = harness::resultsJson(r);
-        seqEvents = sys.eventQueue().dispatched();
-    }
-    {
-        cfg.simThreads = simThreads;
-        dp::SdpSystem sys(cfg);
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto r = sys.run();
-        out.parWallSec = secondsSince(t0);
-        parResults = harness::resultsJson(r);
-        parEvents = sys.eventQueue().dispatched();
-    }
-    out.speedup =
-        out.parWallSec > 0.0 ? out.seqWallSec / out.parWallSec : 0.0;
-    out.identical = seqResults == parResults && seqEvents == parEvents;
-    return out;
-}
-
 /** The Figure 10 series grid (both panels), verbatim. */
 std::vector<harness::SweepSeries>
 fig10Series()
@@ -460,17 +404,6 @@ main(int argc, char **argv)
     std::printf("callback inline-buffer overflows: %llu (expect 0)\n",
                 static_cast<unsigned long long>(heapFallbacks));
 
-    // --- Parallel simulation backend (sim-threads 1 vs 4) ------------
-    const unsigned simThreads = 4;
-    const ParallelPoint par = timeParallelBackend(simThreads);
-    // Same convention as the fig10 sweep below: the wall-clock gate
-    // needs real cores, the bit-identity check runs everywhere.
-    const bool parCheckable = hw >= 4;
-    std::printf("parallel backend: %.2f s sequential, %.2f s at "
-                "--sim-threads %u (%.2fx); results %s\n",
-                par.seqWallSec, par.parWallSec, simThreads, par.speedup,
-                par.identical ? "byte-identical" : "DIFFER");
-
     // --- fig10 sweep: jobs 1 vs jobs N -------------------------------
     double seqSec = 0.0, parSec = 0.0;
     const std::string seqJson = sweepJson(1, seqSec);
@@ -489,7 +422,7 @@ main(int argc, char **argv)
     // <4-thread host a sub-1.0 ratio reads like a regression when it is
     // only scheduler overhead, so the sweep check is reported skipped.
     const bool sweepCheckable = hw >= 4 && jobs >= 4;
-    os << "{\n\"host\":" << harness::hostJson(jobs, simThreads)
+    os << "{\n\"host\":" << harness::hostJson(jobs)
        << ",\n\"hardware_concurrency\":" << hw
        << ",\n\"jobs\":" << jobs
        << ",\n\"callback_heap_fallbacks\":" << heapFallbacks
@@ -528,18 +461,6 @@ main(int argc, char **argv)
        << ",\"spread_128_vs_16\":" << stats::jsonNumber(scalingSpread)
        << ",\"sim_events_16\":" << sc16.events
        << ",\"sim_events_128\":" << sc128.events << "}";
-    os << ",\n\"parallel_backend\":{\"sim_threads\":" << par.simThreads
-       << ",\"seq_wall_sec\":" << stats::jsonNumber(par.seqWallSec)
-       << ",\"par_wall_sec\":" << stats::jsonNumber(par.parWallSec)
-       << ",\"results_identical\":" << (par.identical ? "true" : "false");
-    if (parCheckable) {
-        os << ",\"speedup\":" << stats::jsonNumber(par.speedup)
-           << ",\"speedup_check\":\""
-           << (par.speedup >= 1.5 ? "ok" : "slow") << "\"";
-    } else {
-        os << ",\"speedup_check\":\"skipped(single-thread-host)\"";
-    }
-    os << "}";
     os << ",\n\"fig10_sweep\":{\"jobs1_wall_sec\":"
        << stats::jsonNumber(seqSec)
        << ",\"jobsN_wall_sec\":" << stats::jsonNumber(parSec);
@@ -588,17 +509,6 @@ main(int argc, char **argv)
         std::printf("CHECK FAILED: speedup %.2fx < 2x with %u hardware "
                     "threads\n",
                     speedup, hw);
-        ok = false;
-    }
-    if (!par.identical) {
-        std::puts("CHECK FAILED: parallel backend results differ from "
-                  "the sequential kernel");
-        ok = false;
-    }
-    if (parCheckable && par.speedup < 1.5) {
-        std::printf("CHECK FAILED: parallel backend %.2fx < 1.5x with "
-                    "%u sim threads on %u hardware threads\n",
-                    par.speedup, simThreads, hw);
         ok = false;
     }
     return ok ? 0 : 1;

@@ -12,9 +12,6 @@
 #include "dp/spinning_core.hh"
 #include "dp/sw_ready_set_core.hh"
 #include "sim/logging.hh"
-#include "sim/parallel_engine.hh"
-
-#include <cstdlib>
 
 namespace hyperplane {
 namespace dp {
@@ -31,20 +28,6 @@ unsigned
 roundUpTo(unsigned v, unsigned m)
 {
     return (v + m - 1) / m * m;
-}
-
-/** simThreads = 0 resolves to HYPERPLANE_SIM_THREADS, else 1. */
-unsigned
-resolveSimThreads(unsigned cfg)
-{
-    if (cfg != 0)
-        return cfg;
-    if (const char *env = std::getenv("HYPERPLANE_SIM_THREADS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return 1;
 }
 
 } // namespace
@@ -236,8 +219,8 @@ SdpSystem::build()
     mem_ = std::make_unique<mem::MemorySystem>(cfg_.numCores, l1Geom,
                                                llcGeom);
     mem_->setTracer(tracer_.get());
-    // Stateful app workloads shard by queue id: numQueues shards keeps
-    // each shard's state cluster-local under the parallel backend.
+    // Stateful app workloads shard by queue id, one shard per queue,
+    // as the UDP server does.
     workload_ = makeWorkload(cfg_.workload, cfg_.seed, cfg_.numQueues);
 
     // Traffic shape -> per-queue weights (+ optional static imbalance).
@@ -252,18 +235,6 @@ SdpSystem::build()
     const unsigned queuesPerCluster = cfg_.numQueues / clusters;
     clusterBacklogs_.assign(clusters, 0);
     coreCluster_.resize(cfg_.numCores);
-
-    // Sim-thread partitioning: clusters are the unit of placement (a
-    // cluster's cores, QwaitUnit, and queues interact densely), bins
-    // balanced by the traffic weight each cluster serves.  Owner tags
-    // never change dispatch order, so results are independent of the
-    // worker count.
-    simPartitions_ = std::min(
-        {resolveSimThreads(cfg_.simThreads), clusters, 0xFFFFu});
-    std::vector<double> clusterWeight(clusters, 0.0);
-    for (QueueId q = 0; q < cfg_.numQueues; ++q)
-        clusterWeight[clusterOf(q)] += weights_[q];
-    clusterPart_ = sim::balanceByWeight(clusterWeight, simPartitions_);
 
     const bool hyper = cfg_.plane == PlaneKind::HyperPlane ||
                        cfg_.plane == PlaneKind::HyperPlaneSwReady;
@@ -422,9 +393,6 @@ SdpSystem::build()
             qwaitUnits_[c]->setWakeCallback([this, c] {
                 if (faults_ && faults_->rollSuppressWake())
                     return;
-                // The wake event (and everything the woken core spawns
-                // from it) executes on the cluster's sim partition.
-                EventQueue::SpawnOwnerScope own(eq_, ownerOfCluster(c));
                 deliverWake(c);
             });
         }
@@ -732,28 +700,17 @@ SdpSystem::onCompletion(const queueing::WorkItem &item, Tick when)
         tenants_->deliver(item, when);
 }
 
-std::uint64_t
-SdpSystem::runSim(Tick until)
-{
-    if (simPartitions_ <= 1)
-        return eq_.run(until);
-    return sim::runShared(eq_, until, simPartitions_);
-}
-
 SdpResults
 SdpSystem::run()
 {
-    for (unsigned i = 0; i < cores_.size(); ++i) {
-        EventQueue::SpawnOwnerScope own(
-            eq_, ownerOfCluster(coreCluster_[i]));
-        cores_[i]->start();
-    }
+    for (auto &core : cores_)
+        core->start();
     source_->start();
     if (sampler_)
         sampler_->start();
 
     const Tick warmupEnd = eq_.now() + usToTicks(cfg_.warmupUs);
-    runSim(warmupEnd);
+    eq_.run(warmupEnd);
 
     // Measurement boundary: clear every statistic.
     measuring_ = true;
@@ -770,7 +727,7 @@ SdpSystem::run()
     const std::uint64_t dropAtStart = source_->dropped();
 
     const Tick end = warmupEnd + usToTicks(cfg_.measureUs);
-    runSim(end);
+    eq_.run(end);
 
     // Close halt/idle intervals still open at the end of the window.
     for (auto &core : cores_)

@@ -109,15 +109,6 @@ struct SdpConfig
     std::uint32_t payloadBytes = 0;
     std::size_t maxQueueDepth = 512;
     std::uint64_t seed = 1;
-    /**
-     * Simulation worker threads (the host threads stepping the event
-     * kernel, NOT simulated cores).  1 = sequential kernel; N > 1 =
-     * the partition-affine parallel backend (sim/parallel_engine.hh),
-     * whose results are bit-identical to 1 by construction; 0 = the
-     * HYPERPLANE_SIM_THREADS environment variable if set, else 1.
-     * Worker count is capped at the cluster count.
-     */
-    unsigned simThreads = 0;
     CoreTimingParams timing{};
     power::PowerParams power{};
     SmtParams smt{};
@@ -240,18 +231,6 @@ class SdpSystem
     /** Number of queue clusters (1 for scale-up-all). */
     unsigned numClusters() const;
 
-    /**
-     * Simulation worker threads this run will actually use after
-     * resolving simThreads = 0 (env override) and the cluster cap.
-     */
-    unsigned simPartitions() const { return simPartitions_; }
-
-    /** Partition (sim worker) a cluster's events execute on. */
-    std::uint16_t ownerOfCluster(unsigned cluster) const
-    {
-        return static_cast<std::uint16_t>(clusterPart_[cluster]);
-    }
-
     /** The QwaitUnit of a cluster (null for spinning planes). */
     core::QwaitUnit *qwaitUnit(unsigned cluster);
 
@@ -312,8 +291,6 @@ class SdpSystem
 
   private:
     void build();
-    /** eq_.run(until) via the resolved backend (sequential or token). */
-    std::uint64_t runSim(Tick until);
     void registerStats();
     unsigned clusterOf(QueueId qid) const;
     void onArrival(QueueId qid, const queueing::WorkItem &item);
@@ -346,10 +323,6 @@ class SdpSystem
     std::vector<std::uint64_t> clusterBacklogs_;
     /** Cluster id of each core. */
     std::vector<unsigned> coreCluster_;
-    /** Resolved sim worker threads (1 = sequential kernel). */
-    unsigned simPartitions_ = 1;
-    /** Cluster -> partition map (latency-weighted LPT). */
-    std::vector<unsigned> clusterPart_;
     std::unique_ptr<traffic::PoissonSource> source_;
     std::unique_ptr<TenantModel> tenants_;
     std::unique_ptr<fault::FaultInjector> faults_;

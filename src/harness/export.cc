@@ -82,7 +82,7 @@ resultsJson(const dp::SdpResults &r)
 }
 
 std::string
-hostJson(unsigned jobs, unsigned simThreads)
+hostJson(unsigned jobs)
 {
     const telemetry::BuildInfo &bi = telemetry::buildInfo();
     std::ostringstream os;
@@ -99,8 +99,6 @@ hostJson(unsigned jobs, unsigned simThreads)
        << '}';
     if (jobs)
         os << ",\"jobs\":" << jobs;
-    if (simThreads)
-        os << ",\"sim_threads\":" << simThreads;
     os << '}';
     return os.str();
 }

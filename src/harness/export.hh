@@ -26,11 +26,11 @@ std::string resultsJson(const dp::SdpResults &r);
 /**
  * Canonical host/build provenance block shared by every BENCH_*.json
  * writer: {"hardware_concurrency":N,"git_sha":...,"build_type":...,
- * "compiler":...,"cpu_features":...,"simd":{...}} plus "jobs" and
- * "sim_threads" when nonzero.  One emitter keeps the schema identical
- * across benches so scripts/bench_check.py can key on it.
+ * "compiler":...,"cpu_features":...,"simd":{...}} plus "jobs" when
+ * nonzero.  One emitter keeps the schema identical across benches so
+ * scripts/bench_check.py can key on it.
  */
-std::string hostJson(unsigned jobs = 0, unsigned simThreads = 0);
+std::string hostJson(unsigned jobs = 0);
 
 /** One named load sweep (a line of a figure). */
 struct NamedSweep

@@ -95,8 +95,8 @@ class Snooper
 constexpr CoreId deviceWriter = ~CoreId{0};
 
 /** Sharer-bitmask words per directory entry (64 cores each).  Sixteen
- *  words cover the 1024-core configurations of the tick-parallel
- *  backend.  Only the rare >=2-sharer overflow-pool records pay for the
+ *  words cover 1024-core configurations (ext_core_scaling's largest
+ *  point).  Only the rare >=2-sharer overflow-pool records pay for the
  *  wider mask: the hash table itself stores 16-byte packed slots whose
  *  inline single-sharer form is independent of this constant, so the
  *  hottest structure in the simulator is unchanged. */

@@ -77,11 +77,6 @@ makeDispatchedTable()
             t.checksumName = "avx2";
             t.checksumLevel = 2;
         }
-        if (auto fn = detail::headerCheckAvx2Compiled()) {
-            t.headerCheck = fn;
-            t.headerCheckName = "avx2";
-            t.headerCheckLevel = 2;
-        }
     }
     return t;
 }
@@ -144,13 +139,6 @@ HeaderCheckFn
 headerCheckSse2()
 {
     return cpuFeatures().sse2 ? detail::headerCheckSse2Compiled()
-                              : nullptr;
-}
-
-HeaderCheckFn
-headerCheckAvx2()
-{
-    return cpuFeatures().avx2 ? detail::headerCheckAvx2Compiled()
                               : nullptr;
 }
 

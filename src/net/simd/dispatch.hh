@@ -115,7 +115,6 @@ ChecksumPartialFn checksumPartialSse2();
 ChecksumPartialFn checksumPartialAvx2();
 Crc32cFn crc32cSse42();
 HeaderCheckFn headerCheckSse2();
-HeaderCheckFn headerCheckAvx2();
 
 } // namespace simd
 } // namespace net

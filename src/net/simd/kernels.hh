@@ -36,7 +36,6 @@ ChecksumPartialFn checksumPartialSse2Compiled();
 ChecksumPartialFn checksumPartialAvx2Compiled();
 Crc32cFn crc32cSse42Compiled();
 HeaderCheckFn headerCheckSse2Compiled();
-HeaderCheckFn headerCheckAvx2Compiled();
 
 } // namespace detail
 } // namespace simd

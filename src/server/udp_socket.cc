@@ -23,6 +23,15 @@ setNonBlocking(int fd)
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/**
+ * Receive buffer every socket asks for.  The kernel default (208 KB)
+ * queues 256 small datagrams on loopback, about 13 ms at 20k/s, so a
+ * receiving thread that waits that long for a CPU loses datagrams to
+ * RcvbufErrors.  The kernel caps the request at net.core.rmem_max;
+ * memory is charged only for datagrams actually queued.
+ */
+constexpr int rcvBufBytes = 4 << 20;
+
 } // namespace
 
 UdpSocket::~UdpSocket()
@@ -65,6 +74,10 @@ UdpSocket::open()
         ::close(fd);
         return std::nullopt;
     }
+    // Best effort: a smaller cap only means less slack, so a refusal
+    // is not an error.
+    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvBufBytes,
+                       sizeof(rcvBufBytes));
     return UdpSocket(fd);
 }
 

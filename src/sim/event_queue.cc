@@ -73,7 +73,6 @@ EventQueue::schedule(Tick when, Callback cb)
     Slot &s = slots_[slot];
     s.cb = std::move(cb);
     s.seq = ++nextSeq_;
-    s.owner = spawnOwner_;
     s.bucketed = when - now_ < horizonTicks;
     const Ref r{when, s.seq, slot};
     if (s.bucketed) {
@@ -273,14 +272,10 @@ EventQueue::popAndFire(const Ref &r, bool fromBucket)
 
     hp_assert(r.when >= now_, "event in the past");
     now_ = r.when;
-    // Events spawned by this callback inherit its partition tag.
-    const std::uint16_t prevOwner = spawnOwner_;
-    spawnOwner_ = slots_[r.slot].owner;
     Callback cb = std::move(slots_[r.slot].cb);
     freeSlot(r.slot);
     ++dispatched_;
     cb();
-    spawnOwner_ = prevOwner;
 }
 
 bool
@@ -307,46 +302,6 @@ EventQueue::run(Tick until)
     if (now_ < until && until != ~Tick{0})
         now_ = until;
     return n;
-}
-
-bool
-EventQueue::peekNextOwner(std::uint16_t &owner)
-{
-    Ref r;
-    bool fromBucket;
-    if (!peekNextRef(r, fromBucket))
-        return false;
-    owner = slots_[r.slot].owner;
-    return true;
-}
-
-EventQueue::SliceEnd
-EventQueue::runOwnerSlice(Tick until, std::uint16_t owner,
-                          std::uint16_t &nextOwner, std::uint64_t &fired)
-{
-    fired = 0;
-    Ref r;
-    bool fromBucket;
-    for (;;) {
-        if (!peekNextRef(r, fromBucket)) {
-            // Terminating slice: leave now() exactly as run(until) would.
-            if (now_ < until && until != ~Tick{0})
-                now_ = until;
-            return SliceEnd::Empty;
-        }
-        if (r.when > until) {
-            if (now_ < until && until != ~Tick{0})
-                now_ = until;
-            return SliceEnd::Until;
-        }
-        const std::uint16_t o = slots_[r.slot].owner;
-        if (o != owner) {
-            nextOwner = o;
-            return SliceEnd::OwnerSwitch;
-        }
-        popAndFire(r, fromBucket);
-        ++fired;
-    }
 }
 
 void

@@ -23,12 +23,6 @@
  *  - Cancelled entries left behind in the calendar/heap are purged once
  *    they outnumber live ones, so schedule+cancel churn cannot grow
  *    kernel memory without bound.
- *  - Every event carries a 16-bit owner (partition) tag, inherited from
- *    the event whose callback scheduled it.  The tag never affects
- *    dispatch order; it exists so the partition-affine dispatcher
- *    (sim/parallel_engine.hh) can execute each event on the worker
- *    thread owning its partition while stepping this queue in exactly
- *    sequential order.
  */
 
 #ifndef HYPERPLANE_SIM_EVENT_QUEUE_HH
@@ -135,66 +129,6 @@ class EventQueue
     /** Total events dispatched since construction. */
     std::uint64_t dispatched() const { return dispatched_; }
 
-    // --- partition-affine dispatch (sim/parallel_engine.hh) -----------
-
-    /**
-     * The owner (partition) tag stamped on events scheduled from the
-     * current context.  While a callback runs, this is the firing
-     * event's own tag, so spawned events inherit their parent's
-     * partition; outside dispatch it is whatever the last
-     * SpawnOwnerScope (or setSpawnOwner) established, default 0.
-     */
-    std::uint16_t spawnOwner() const { return spawnOwner_; }
-
-    /** Set the ambient owner tag for subsequently scheduled events. */
-    void setSpawnOwner(std::uint16_t owner) { spawnOwner_ = owner; }
-
-    /** RAII owner tag for a block of root schedules. */
-    class SpawnOwnerScope
-    {
-      public:
-        SpawnOwnerScope(EventQueue &eq, std::uint16_t owner)
-            : eq_(eq), prev_(eq.spawnOwner_)
-        {
-            eq_.spawnOwner_ = owner;
-        }
-        ~SpawnOwnerScope() { eq_.spawnOwner_ = prev_; }
-        SpawnOwnerScope(const SpawnOwnerScope &) = delete;
-        SpawnOwnerScope &operator=(const SpawnOwnerScope &) = delete;
-
-      private:
-        EventQueue &eq_;
-        std::uint16_t prev_;
-    };
-
-    /**
-     * Owner tag of the next event run()/step() would dispatch.
-     * @return false if the queue is empty.  (Non-const: reclaims
-     * cancelled tombstones encountered at the front.)
-     */
-    bool peekNextOwner(std::uint16_t &owner);
-
-    /** Why runOwnerSlice() returned. */
-    enum class SliceEnd
-    {
-        Empty,       ///< queue drained; now() advanced as run() would
-        Until,       ///< next event is past @p until; now() == until
-        OwnerSwitch, ///< next event belongs to @p nextOwner
-    };
-
-    /**
-     * Dispatch the maximal run of consecutive events owned by
-     * @p owner, in exactly the order run(until) would use, stopping
-     * without dispatching when the next event belongs to someone else
-     * (reported via @p nextOwner).  A full pass — slices executed
-     * back-to-back following @p nextOwner until Empty/Until — leaves
-     * the queue in a state byte-identical to one run(until) call.
-     *
-     * @param fired Events dispatched by this slice.
-     */
-    SliceEnd runOwnerSlice(Tick until, std::uint16_t owner,
-                           std::uint16_t &nextOwner, std::uint64_t &fired);
-
     // --- introspection (tests, perf harness) --------------------------
 
     /**
@@ -222,8 +156,6 @@ class EventQueue
         std::uint32_t gen = 1;
         /** Free-list link (valid while free). */
         std::uint32_t nextFree = 0;
-        /** Partition tag for the affine dispatcher (never affects order). */
-        std::uint16_t owner = 0;
         /** Whether the event's entry sits in a bucket (vs the heap). */
         bool bucketed = false;
     };
@@ -300,7 +232,6 @@ class EventQueue
     void maybePurge();
 
     Tick now_ = 0;
-    std::uint16_t spawnOwner_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t dispatched_ = 0;
     std::size_t liveCount_ = 0;

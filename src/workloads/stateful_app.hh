@@ -10,10 +10,9 @@
  * real handler, and charges the timing model a base cost plus
  * cyclesPerStateOp for every state operation the handler reports.
  *
- * Sharding: the item's queue id is the shard.  Under the tick-parallel
- * backend queues are cluster-local, so each shard's state — including
- * the wrapper's per-flow synthesis counters — is only ever touched from
- * one cluster's thread and the run stays deterministic.
+ * Sharding: the item's queue id is the shard, as in the UDP server.
+ * Each shard's state includes the wrapper's per-flow synthesis
+ * counters, so a run is as deterministic as the event order itself.
  */
 
 #ifndef HYPERPLANE_WORKLOADS_STATEFUL_APP_HH

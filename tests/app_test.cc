@@ -621,8 +621,8 @@ TEST(StatefulAppWorkload, RegisteredForAllThreeKinds)
 }
 
 dp::SdpResults
-runAppSim(workloads::Kind kind, unsigned simThreads,
-          std::uint64_t *processed, std::uint64_t *handledOk)
+runAppSim(workloads::Kind kind, std::uint64_t *processed,
+          std::uint64_t *handledOk)
 {
     dp::SdpConfig cfg;
     cfg.plane = dp::PlaneKind::HyperPlane;
@@ -634,7 +634,6 @@ runAppSim(workloads::Kind kind, unsigned simThreads,
     cfg.measureUs = 400.0;
     cfg.seed = 77;
     cfg.workload = kind;
-    cfg.simThreads = simThreads;
     dp::SdpSystem sys(cfg);
     const dp::SdpResults r = sys.run();
     auto &wl = dynamic_cast<workloads::StatefulApp &>(sys.workload());
@@ -643,27 +642,24 @@ runAppSim(workloads::Kind kind, unsigned simThreads,
     return r;
 }
 
-TEST(StatefulAppWorkload, DeterministicAcrossRunsAndSimThreads)
+TEST(StatefulAppWorkload, DeterministicAcrossRuns)
 {
     for (const workloads::Kind kind : workloads::appKinds()) {
         std::uint64_t p1 = 0, ok1 = 0;
-        const dp::SdpResults r1 = runAppSim(kind, 1, &p1, &ok1);
+        const dp::SdpResults r1 = runAppSim(kind, &p1, &ok1);
         ASSERT_GT(r1.completions, 0u);
         ASSERT_GT(p1, 0u);
         // Every synthesized request must decode.
         EXPECT_EQ(ok1, p1);
 
-        for (const unsigned threads : {1u, 4u}) {
-            std::uint64_t p2 = 0, ok2 = 0;
-            const dp::SdpResults r2 = runAppSim(kind, threads, &p2,
-                                                &ok2);
-            EXPECT_EQ(r2.completions, r1.completions)
-                << workloads::toString(kind) << " threads " << threads;
-            EXPECT_EQ(r2.p99LatencyUs, r1.p99LatencyUs)
-                << workloads::toString(kind) << " threads " << threads;
-            EXPECT_EQ(p2, p1);
-            EXPECT_EQ(ok2, ok1);
-        }
+        std::uint64_t p2 = 0, ok2 = 0;
+        const dp::SdpResults r2 = runAppSim(kind, &p2, &ok2);
+        EXPECT_EQ(r2.completions, r1.completions)
+            << workloads::toString(kind);
+        EXPECT_EQ(r2.p99LatencyUs, r1.p99LatencyUs)
+            << workloads::toString(kind);
+        EXPECT_EQ(p2, p1);
+        EXPECT_EQ(ok2, ok1);
     }
 }
 

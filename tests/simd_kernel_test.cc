@@ -191,7 +191,6 @@ TEST(SimdHeaderCheck, VariantsMatchReference)
         simd::scalarKernels().headerCheck,
         simd::kernels().headerCheck,
         simd::headerCheckSse2(),
-        simd::headerCheckAvx2(),
     };
     for (int iter = 0; iter < 300; ++iter) {
         const std::size_t n = 1 + rng() % 37;
