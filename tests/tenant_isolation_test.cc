@@ -10,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dp/sdp_system.hh"
@@ -427,6 +431,190 @@ tenantLoad(const server::UdpServer &srv, unsigned tenantId, double rate,
     lg.numTenants = 2;
     lg.seed = 17 + tenantId;
     return lg;
+}
+
+/** The server's registry names, less the handlers' own server.app.*. */
+std::vector<std::string>
+serverStatNames(server::UdpServer &srv)
+{
+    stats::Registry reg;
+    srv.registerStats(reg);
+    std::vector<std::string> names;
+    for (const std::string &p : reg.paths()) {
+        if (p.rfind("server.app.", 0) != 0)
+            names.push_back(p);
+    }
+    return names;
+}
+
+// The server.* stats schema: every name registerStats exports besides
+// the handlers' own server.app.*, pinned so a refactor of the counting
+// behind them cannot rename, drop or add one unnoticed.
+const char *const kServerWideStats[] = {
+    "server.backlog",
+    "server.demotions",
+    "server.dev.grants",
+    "server.dev.muted_rings",
+    "server.dev.qwait_timeouts",
+    "server.dev.spurious_wakes",
+    "server.dev.wakeups",
+    "server.fallback_serves",
+    "server.payload_copies",
+    "server.pool.exhausted",
+    "server.pool.frames_free",
+    "server.pool.frames_total",
+    "server.pool.reject_reserve_free",
+    "server.pool_drops",
+    "server.promotions",
+    "server.requests_served",
+    "server.requests_served_inline",
+    "server.responses_bad_status",
+    "server.rings_dropped",
+    "server.rx_batches",
+    "server.rx_packets",
+    "server.rx_parse_errors",
+    "server.rx_queue_drops",
+    "server.shed_queue_full",
+    "server.shed_rate_limited",
+    "server.shed_watermark",
+    "server.simd.checksum_level",
+    "server.simd.crc32c_level",
+    "server.simd.force_scalar",
+    "server.simd.header_level",
+    "server.stage.admit_doorbell.count",
+    "server.stage.admit_doorbell.mean_ns",
+    "server.stage.admit_doorbell.p50_ns",
+    "server.stage.admit_doorbell.p999_ns",
+    "server.stage.admit_doorbell.p99_ns",
+    "server.stage.e2e.count",
+    "server.stage.e2e.mean_ns",
+    "server.stage.e2e.p50_ns",
+    "server.stage.e2e.p999_ns",
+    "server.stage.e2e.p99_ns",
+    "server.stage.qwait_service.count",
+    "server.stage.qwait_service.mean_ns",
+    "server.stage.qwait_service.p50_ns",
+    "server.stage.qwait_service.p999_ns",
+    "server.stage.qwait_service.p99_ns",
+    "server.stage.rx_admit.count",
+    "server.stage.rx_admit.mean_ns",
+    "server.stage.rx_admit.p50_ns",
+    "server.stage.rx_admit.p999_ns",
+    "server.stage.rx_admit.p99_ns",
+    "server.stage.service_tx.count",
+    "server.stage.service_tx.mean_ns",
+    "server.stage.service_tx.p50_ns",
+    "server.stage.service_tx.p999_ns",
+    "server.stage.service_tx.p99_ns",
+    "server.storm_demotions",
+    "server.telemetry.events_posted",
+    "server.telemetry.flight_dumps",
+    "server.telemetry.flight_recorded",
+    "server.telemetry.flight_sample_every",
+    "server.telemetry.metrics_requests",
+    "server.tx_packets",
+    "server.tx_send_errors",
+    "server.uptime_seconds",
+    "server.watchdog_recoveries",
+    "server.watchdog_sweeps",
+};
+
+/** Names every tenant exports under server.tenant.<name>. */
+const char *const kPerTenantStats[] = {
+    "admitted",
+    "demotions",
+    "promotions",
+    "queue_full_shed",
+    "rate_limited",
+    "served",
+    "stage.admit_doorbell.p50_ns",
+    "stage.admit_doorbell.p999_ns",
+    "stage.admit_doorbell.p99_ns",
+    "stage.e2e.p50_ns",
+    "stage.e2e.p999_ns",
+    "stage.e2e.p99_ns",
+    "stage.qwait_service.p50_ns",
+    "stage.qwait_service.p999_ns",
+    "stage.qwait_service.p99_ns",
+    "stage.rx_admit.p50_ns",
+    "stage.rx_admit.p999_ns",
+    "stage.rx_admit.p99_ns",
+    "stage.service_tx.p50_ns",
+    "stage.service_tx.p999_ns",
+    "stage.service_tx.p99_ns",
+    "watermark_shed",
+};
+
+std::vector<std::string>
+expectedStatNames(std::initializer_list<const char *> tenants)
+{
+    std::vector<std::string> names(std::begin(kServerWideStats),
+                                   std::end(kServerWideStats));
+    for (const char *t : tenants) {
+        for (const char *n : kPerTenantStats)
+            names.push_back(std::string("server.tenant.") + t + "." + n);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+TEST(ServerTenantLoopback, StatsSchemaAndTenantSumsHold)
+{
+    {
+        server::UdpServer srv(server::ServerConfig{});
+        START_OR_SKIP(srv);
+        EXPECT_EQ(serverStatNames(srv), expectedStatNames({"default"}));
+        EXPECT_TRUE(srv.stop());
+    }
+
+    server::UdpServer srv(twoTenantConfig(1000.0));
+    START_OR_SKIP(srv);
+    EXPECT_EQ(serverStatNames(srv),
+              expectedStatNames({"victim", "aggressor"}));
+
+    // The victim stays under its limit; the aggressor runs at 8x its
+    // 1k/s bucket, so its excess comes back as typed rejects.
+    auto victimRep =
+        server::UdpLoadGen(tenantLoad(srv, 0, 2000.0, 0.3)).run();
+    auto aggrRep =
+        server::UdpLoadGen(tenantLoad(srv, 1, 8000.0, 0.3)).run();
+    ASSERT_TRUE(victimRep.has_value());
+    ASSERT_TRUE(aggrRep.has_value());
+    EXPECT_TRUE(srv.stop());
+
+    stats::Registry reg;
+    srv.registerStats(reg);
+    const auto tenantValue = [&reg](const char *tenant, const char *n) {
+        return reg.value(std::string("server.tenant.") + tenant + "." + n);
+    };
+    // Every tenant-scoped count is also in the server-wide total, and
+    // nothing else is: both tenant groups cover every queue, so no
+    // count lands outside a tenant.
+    const std::pair<const char *, const char *> sums[] = {
+        {"shed_rate_limited", "rate_limited"},
+        {"shed_watermark", "watermark_shed"},
+        {"shed_queue_full", "queue_full_shed"},
+        {"requests_served", "served"},
+        {"demotions", "demotions"},
+        {"promotions", "promotions"},
+    };
+    for (const auto &[wide, perTenant] : sums) {
+        EXPECT_EQ(reg.value(std::string("server.") + wide),
+                  tenantValue("victim", perTenant) +
+                      tenantValue("aggressor", perTenant))
+            << wide;
+    }
+    EXPECT_GT(reg.value("server.shed_rate_limited"), 0.0);
+    EXPECT_GT(reg.value("server.requests_served"), 0.0);
+
+    // What each generator saw shed is exactly its tenant's shed total.
+    const auto shedTotal = [&](const char *tenant) {
+        return tenantValue(tenant, "rate_limited") +
+               tenantValue(tenant, "watermark_shed") +
+               tenantValue(tenant, "queue_full_shed");
+    };
+    EXPECT_EQ(static_cast<double>(victimRep->shed), shedTotal("victim"));
+    EXPECT_EQ(static_cast<double>(aggrRep->shed), shedTotal("aggressor"));
 }
 
 TEST(ServerTenantLoopback, StartThrowsOnMalformedTenants)
