@@ -152,20 +152,21 @@ ServerSnapshot
 snapshot(const server::UdpServer &srv)
 {
     ServerSnapshot out;
-    const auto &c = srv.counters();
-    out.stormDemotions = c.stormDemotions.load();
-    out.promotions = c.promotions.load();
-    out.shedRateLimited = c.shedRateLimited.load();
-    out.shedWatermark = c.shedWatermark.load();
-    out.shedQueueFull = c.shedQueueFull.load();
+    const server::ServerCounterSnapshot c = srv.counterSnapshot();
+    out.stormDemotions = c.stormDemotions;
+    out.promotions = c.promotions;
+    out.shedRateLimited = c.shedRateLimited;
+    out.shedWatermark = c.shedWatermark;
+    out.shedQueueFull = c.shedQueueFull;
     out.mutedRings = srv.device().mutedRings();
-    const auto &tt = srv.tenantTable();
-    out.victimAdmitted = tt.counters(0).admitted.load();
-    out.victimServed = tt.counters(0).served.load();
-    out.aggrAdmitted = tt.counters(1).admitted.load();
-    out.aggrServed = tt.counters(1).served.load();
-    out.aggrRateLimited = tt.counters(1).rateLimited.load();
-    out.aggrDemotions = tt.counters(1).demotions.load();
+    const server::ServerCounterSnapshot victim = srv.counterSnapshot(0);
+    const server::ServerCounterSnapshot aggr = srv.counterSnapshot(1);
+    out.victimAdmitted = victim.admitted;
+    out.victimServed = victim.served;
+    out.aggrAdmitted = aggr.admitted;
+    out.aggrServed = aggr.served;
+    out.aggrRateLimited = aggr.shedRateLimited;
+    out.aggrDemotions = aggr.demotions;
     return out;
 }
 

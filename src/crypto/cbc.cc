@@ -24,7 +24,8 @@ cbcEncrypt(const Aes &aes, const Iv &iv, const std::uint8_t *plain,
 {
     const std::size_t pad = aesBlockBytes - (len % aesBlockBytes);
     std::vector<std::uint8_t> out(len + pad);
-    std::memcpy(out.data(), plain, len);
+    if (len > 0) // an empty message may come with a null plain
+        std::memcpy(out.data(), plain, len);
     std::memset(out.data() + len, static_cast<int>(pad), pad);
 
     const std::uint8_t *chain = iv.data();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "net/headers.hh"
@@ -35,6 +36,73 @@ outerTemplate()
     outer.dst[15] = 0x02;
     return outer;
 }
+
+using telemetry::Counter;
+using telemetry::CounterShards;
+
+/**
+ * One row of the declared counter table: a counter's exported names,
+ * which give its scope, and the snapshot field it fills.
+ */
+struct CounterRow
+{
+    Counter counter;
+    /** Exported as server.<name>; null: not exported server-wide. */
+    const char *name;
+    /** Exported as server.tenant.<t>.<tenantName>; null: server-wide
+     *  only. */
+    const char *tenantName;
+    std::uint64_t ServerCounterSnapshot::*field;
+};
+
+using S = ServerCounterSnapshot;
+
+/** Every server counter, in Counter order. */
+constexpr CounterRow kCounterTable[] = {
+    {Counter::RxBatches, "rx_batches", nullptr, &S::rxBatches},
+    {Counter::RxPackets, "rx_packets", nullptr, &S::rxPackets},
+    {Counter::ParseErrors, "rx_parse_errors", nullptr, &S::parseErrors},
+    {Counter::Admitted, nullptr, "admitted", &S::admitted},
+    {Counter::Served, "requests_served", "served", &S::served},
+    {Counter::TxPackets, "tx_packets", nullptr, &S::txPackets},
+    {Counter::QueueDrops, "rx_queue_drops", nullptr, &S::queueDrops},
+    {Counter::PoolDrops, "pool_drops", nullptr, &S::poolDrops},
+    {Counter::ShedRateLimited, "shed_rate_limited", "rate_limited",
+     &S::shedRateLimited},
+    {Counter::ShedWatermark, "shed_watermark", "watermark_shed",
+     &S::shedWatermark},
+    {Counter::ShedQueueFull, "shed_queue_full", "queue_full_shed",
+     &S::shedQueueFull},
+    {Counter::StormDemotions, "storm_demotions", nullptr,
+     &S::stormDemotions},
+    {Counter::RingsDropped, "rings_dropped", nullptr, &S::ringsDropped},
+    {Counter::BadStatus, "responses_bad_status", nullptr, &S::badStatus},
+    {Counter::TxSendErrors, "tx_send_errors", nullptr, &S::txSendErrors},
+    {Counter::WatchdogSweeps, "watchdog_sweeps", nullptr,
+     &S::watchdogSweeps},
+    {Counter::WatchdogRecoveries, "watchdog_recoveries", nullptr,
+     &S::watchdogRecoveries},
+    {Counter::FallbackServes, "fallback_serves", nullptr,
+     &S::fallbackServes},
+    {Counter::Demotions, "demotions", "demotions", &S::demotions},
+    {Counter::Promotions, "promotions", "promotions", &S::promotions},
+};
+
+constexpr bool
+tableCoversEveryCounter()
+{
+    if (std::size(kCounterTable) != telemetry::kNumCounters)
+        return false;
+    for (unsigned i = 0; i < telemetry::kNumCounters; ++i) {
+        if (static_cast<unsigned>(kCounterTable[i].counter) != i)
+            return false;
+    }
+    return true;
+}
+static_assert(tableCoversEveryCounter(),
+              "kCounterTable needs one row per Counter, in order");
+static_assert(TenantTable::invalidTenant == CounterShards::noTenant,
+              "a queue no tenant owns counts in the no-tenant column");
 
 /** Remaining time until @p deadline, clamped at zero. */
 nanoseconds
@@ -119,8 +187,6 @@ UdpServer::start()
     }
 
     epoch_ = steady_clock::now();
-    if (cfg_.tracer)
-        cfg_.tracer->setClock([this] { return nowTicks(); });
 
     // Zero-copy frame pools: drain the old queues and lanes first on a
     // restart — they hold frame handles into the pools being replaced.
@@ -185,11 +251,10 @@ UdpServer::start()
                 static_cast<app::AppKind>(k), acfg));
     }
 
-    // Telemetry plane: sharded counters always exist (they replaced
-    // the contended globals); the stage histograms and flight recorder
-    // honour the enable switch.
-    hotCounters_ = std::make_unique<telemetry::CounterShards>(
-        numTelemetryShards());
+    // Telemetry plane: the counter matrix always exists; the stage
+    // histograms and flight recorder honour the enable switch.
+    counters_ = std::make_unique<CounterShards>(numTelemetryShards(),
+                                                tenants_->numTenants());
     const telemetry::TelemetryConfig &tcfg = cfg_.telemetry;
     if (tcfg.enabled) {
         stageLat_ = std::make_unique<telemetry::StageLatencyShards>(
@@ -310,41 +375,31 @@ UdpServer::stop(std::chrono::nanoseconds drainDeadline)
 ServerCounterSnapshot
 UdpServer::counterSnapshot() const
 {
-    using telemetry::HotCounter;
     ServerCounterSnapshot s;
-    if (hotCounters_) {
-        s.rxBatches = hotCounters_->total(HotCounter::RxBatches);
-        s.rxPackets = hotCounters_->total(HotCounter::RxPackets);
-        s.parseErrors = hotCounters_->total(HotCounter::ParseErrors);
-        s.served = hotCounters_->total(HotCounter::Served);
+    if (counters_) {
+        for (const CounterRow &row : kCounterTable)
+            s.*row.field = counters_->total(row.counter);
         for (unsigned i = 0; i < cfg_.rxThreads; ++i)
             s.servedInline +=
-                hotCounters_->shardValue(rxShard(i), HotCounter::Served);
-        s.txPackets = hotCounters_->total(HotCounter::TxPackets);
+                counters_->shardValue(rxShard(i), Counter::Served);
     }
-    const auto ld = [](const std::atomic<std::uint64_t> &c) {
-        return c.load(std::memory_order_relaxed);
-    };
-    s.queueDrops = ld(counters_.queueDrops);
-    s.shedRateLimited = ld(counters_.shedRateLimited);
-    s.shedWatermark = ld(counters_.shedWatermark);
-    s.shedQueueFull = ld(counters_.shedQueueFull);
-    s.stormDemotions = ld(counters_.stormDemotions);
-    s.ringsDropped = ld(counters_.ringsDropped);
-    s.badStatus = ld(counters_.badStatus);
-    s.txSendErrors = ld(counters_.txSendErrors);
-    s.watchdogSweeps = ld(counters_.watchdogSweeps);
-    s.watchdogRecoveries = ld(counters_.watchdogRecoveries);
-    s.fallbackServes = ld(counters_.fallbackServes);
-    s.demotions = ld(counters_.demotions);
-    s.promotions = ld(counters_.promotions);
-    s.poolDrops = ld(counters_.poolDrops);
     for (const auto &p : rxPools_) {
         s.poolExhausted += p->exhausted();
         s.payloadCopies += p->copyEvents();
     }
     if (rejectPool_)
         s.poolExhausted += rejectPool_->exhausted();
+    return s;
+}
+
+ServerCounterSnapshot
+UdpServer::counterSnapshot(unsigned tenant) const
+{
+    ServerCounterSnapshot s;
+    if (counters_) {
+        for (const CounterRow &row : kCounterTable)
+            s.*row.field = counters_->tenantTotal(tenant, row.counter);
+    }
     return s;
 }
 
@@ -360,8 +415,6 @@ UdpServer::backlog() const
 void
 UdpServer::rxLoop(unsigned index)
 {
-    trace::Tracer *tracer = cfg_.tracer;
-    const std::uint32_t track = trace::trackHardwareBase + index;
     UdpSocket &sock = rxSockets_[index];
     EpollWaiter waiter;
     const bool havePoll = waiter.valid() && waiter.add(sock.fd());
@@ -395,7 +448,7 @@ UdpServer::rxLoop(unsigned index)
     // and the only user of its lane.
     const unsigned shard = rxShard(index);
     Lane &lane = lanes_[shard];
-    telemetry::CounterShards &hot = *hotCounters_;
+    CounterShards &counters = *counters_;
     telemetry::StageLatencyShards *lat = stageLat_.get();
     telemetry::FlightRecorder &flight = *flight_;
     // Last admission timestamp per queue this batch, for the
@@ -444,8 +497,10 @@ UdpServer::rxLoop(unsigned index)
             }
             if (n == 0)
                 break;
-            hot.add(shard, telemetry::HotCounter::RxBatches);
-            hot.add(shard, telemetry::HotCounter::RxPackets, n);
+            counters.add(shard, CounterShards::noTenant,
+                         Counter::RxBatches);
+            counters.add(shard, CounterShards::noTenant,
+                         Counter::RxPackets, n);
             const std::uint64_t rxNs = nowNs();
             // One backlog sample per batch is plenty for watermark
             // shedding: the thresholds are hundreds of requests wide.
@@ -463,19 +518,17 @@ UdpServer::rxLoop(unsigned index)
                                    prefixOk.data());
 
             for (std::size_t i = 0; i < n; ++i) {
-                if (!prefixOk[i]) {
-                    hot.add(shard, telemetry::HotCounter::ParseErrors);
-                    continue; // frame stays in spare for reuse
-                }
-                const auto hdr = wire::parseRequestPrechecked(
-                    slots[i].data, slots[i].len);
+                const auto hdr =
+                    prefixOk[i] ? wire::parseRequestPrechecked(
+                                      slots[i].data, slots[i].len)
+                                : std::nullopt;
                 if (!hdr) {
-                    hot.add(shard, telemetry::HotCounter::ParseErrors);
-                    continue;
+                    counters.add(shard, CounterShards::noTenant,
+                                 Counter::ParseErrors);
+                    continue; // frame stays in spare for reuse
                 }
                 const sockaddr_in &peer = slots[i].peer;
                 const unsigned tenant = tenants_->tenantOf(hdr->flowId);
-                TenantCounters &tc = tenants_->counters(tenant);
                 stormSeen |= stormOn && tenant == cfg_.fault.stormTenant;
 
                 FlowKey key;
@@ -491,24 +544,8 @@ UdpServer::rxLoop(unsigned index)
                 // shed them typed, like a full queue (the next-deepest
                 // overload signal).
                 if (scratch) {
-                    tc.queueFullShed.fetch_add(
-                        1, std::memory_order_relaxed);
-                    counters_.shedQueueFull.fetch_add(
-                        1, std::memory_order_relaxed);
-                    queueReject(lane, peer, *hdr, wire::statusShed,
-                                tenant, rxNs, FrameHandle());
-                    if (flight.sampled(hdr->seq)) {
-                        flight.stamp(
-                            shard, trace::Stage::AdmissionShed,
-                            trace::Phase::Instant, track,
-                            nsToTicks(static_cast<double>(rxNs)), qid,
-                            hdr->seq);
-                    }
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::AdmissionShed,
-                                        track, nowTicks(), qid,
-                                        hdr->seq);
-                    }
+                    shed(lane, Counter::ShedQueueFull, wire::statusShed,
+                         peer, *hdr, tenant, qid, rxNs, FrameHandle());
                     continue;
                 }
 
@@ -516,19 +553,13 @@ UdpServer::rxLoop(unsigned index)
                 // then the priority-ranked backlog watermark.  Rejects
                 // fail fast — a typed response now, no worker time.
                 wire::Status verdict = wire::statusOk;
+                Counter why = Counter::ShedRateLimited;
                 if (!tenants_->admit(tenant, rxNs)) {
                     verdict = wire::statusRateLimited;
-                    tc.rateLimited.fetch_add(1,
-                                             std::memory_order_relaxed);
-                    counters_.shedRateLimited.fetch_add(
-                        1, std::memory_order_relaxed);
                 } else if (shedEnabled &&
                            tenants_->shouldShed(tenant, backlogNow)) {
                     verdict = wire::statusShed;
-                    tc.watermarkShed.fetch_add(
-                        1, std::memory_order_relaxed);
-                    counters_.shedWatermark.fetch_add(
-                        1, std::memory_order_relaxed);
+                    why = Counter::ShedWatermark;
                 }
                 // Stage sampling is decimated on the sequence number
                 // (same trick as the flight recorder), so the extra
@@ -546,21 +577,8 @@ UdpServer::rxLoop(unsigned index)
                 }
                 if (verdict != wire::statusOk) {
                     // The reject reuses the request's own frame.
-                    queueReject(lane, peer, *hdr, verdict, tenant, rxNs,
-                                std::move(spare[i]));
-                    if (flight.sampled(hdr->seq)) {
-                        flight.stamp(shard,
-                                     trace::Stage::AdmissionShed,
-                                     trace::Phase::Instant, track,
-                                     nsToTicks(static_cast<double>(
-                                         admitNs)),
-                                     qid, hdr->seq);
-                    }
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::AdmissionShed,
-                                        track, nowTicks(), qid,
-                                        hdr->seq);
-                    }
+                    shed(lane, why, verdict, peer, *hdr, tenant, qid,
+                         admitNs, std::move(spare[i]));
                     continue;
                 }
 
@@ -581,47 +599,26 @@ UdpServer::rxLoop(unsigned index)
                 if (!reqQueues_[qid]->tryPush(std::move(req))) {
                     // Queue full: the deepest overload signal.  Still a
                     // typed reject, not a silent drop.
-                    counters_.queueDrops.fetch_add(
-                        1, std::memory_order_relaxed);
-                    counters_.shedQueueFull.fetch_add(
-                        1, std::memory_order_relaxed);
-                    tc.queueFullShed.fetch_add(
-                        1, std::memory_order_relaxed);
+                    counters.add(shard, tenant, Counter::QueueDrops);
                     if (counts[qid] == 0)
                         rxInFlight_[qid].fetch_sub(
                             1, std::memory_order_release);
                     // tryPush leaves its argument intact on failure, so
                     // the reject can still ride the request's frame.
-                    queueReject(lane, peer, *hdr, wire::statusShed,
-                                tenant, rxNs, std::move(req.frame));
-                    if (flight.sampled(hdr->seq)) {
-                        flight.stamp(shard,
-                                     trace::Stage::AdmissionShed,
-                                     trace::Phase::Instant, track,
-                                     nsToTicks(static_cast<double>(
-                                         admitNs)),
-                                     qid, hdr->seq);
-                    }
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::AdmissionShed,
-                                        track, nowTicks(), qid,
-                                        hdr->seq);
-                    }
+                    shed(lane, Counter::ShedQueueFull, wire::statusShed,
+                         peer, *hdr, tenant, qid, admitNs,
+                         std::move(req.frame));
                     continue;
                 }
-                tc.admitted.fetch_add(1, std::memory_order_relaxed);
+                counters.add(shard, tenant, Counter::Admitted);
                 if (counts[qid]++ == 0)
                     touched.push_back(qid);
                 if (flight.sampled(hdr->seq)) {
                     flight.stamp(
                         shard, trace::Stage::DoorbellWrite,
-                        trace::Phase::Instant, track,
+                        trace::Phase::Instant, lane.track,
                         nsToTicks(static_cast<double>(admitNs)), qid,
                         hdr->seq);
-                }
-                if (HP_TRACE_ON(tracer)) {
-                    tracer->instant(trace::Stage::DoorbellWrite, track,
-                                    nowTicks(), qid, hdr->seq);
                 }
             }
 
@@ -644,10 +641,10 @@ UdpServer::rxLoop(unsigned index)
             for (QueueId qid : touched) {
                 const std::uint32_t cnt = counts[qid];
                 counts[qid] = 0;
+                const unsigned owner = tenants_->tenantOfQueue(qid);
                 if (lat) {
                     // One admit->doorbell sample per (batch, queue):
                     // the last admitted request's wait for its ring.
-                    const unsigned owner = tenants_->tenantOfQueue(qid);
                     lat->record(
                         shard, telemetry::ServerStage::AdmitDoorbell,
                         owner != TenantTable::invalidTenant ? owner : 0,
@@ -655,11 +652,11 @@ UdpServer::rxLoop(unsigned index)
                 }
                 if (cfg_.fault.dropRingProbability > 0.0 &&
                     rng.chance(cfg_.fault.dropRingProbability)) {
-                    counters_.ringsDropped.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::SnoopDropped,
-                                        track, nowTicks(), qid, cnt);
+                    counters.add(shard, owner, Counter::RingsDropped);
+                    if (flight.enabled()) {
+                        flight.stamp(shard, trace::Stage::SnoopDropped,
+                                     trace::Phase::Instant, lane.track,
+                                     nowTicks(), qid, cnt);
                     }
                 } else {
                     hpDev_->ring(qid, cnt,
@@ -707,11 +704,18 @@ UdpServer::rxLoop(unsigned index)
 }
 
 void
-UdpServer::queueReject(Lane &lane, const sockaddr_in &peer,
-                       const wire::RequestHeader &hdr, wire::Status status,
-                       unsigned tenant, std::uint64_t rxNs,
-                       FrameHandle &&frame)
+UdpServer::shed(Lane &lane, Counter why, wire::Status status,
+                const sockaddr_in &peer, const wire::RequestHeader &hdr,
+                unsigned tenant, QueueId qid, std::uint64_t ns,
+                FrameHandle &&frame)
 {
+    counters_->add(lane.shard, tenant, why);
+    if (flight_->sampled(hdr.seq)) {
+        flight_->stamp(lane.shard, trace::Stage::AdmissionShed,
+                       trace::Phase::Instant, lane.track,
+                       nsToTicks(static_cast<double>(ns)), qid, hdr.seq);
+    }
+
     // A reject normally rides the request's own frame; a null handle
     // (pool-dry scratch path) draws one from the small reserve pool so
     // exhaustion still answers typed.
@@ -719,7 +723,7 @@ UdpServer::queueReject(Lane &lane, const sockaddr_in &peer,
         frame = rejectPool_->tryAcquire();
     if (!frame) {
         // Reserve dry too: the only truly unanswerable case.
-        counters_.poolDrops.fetch_add(1, std::memory_order_relaxed);
+        counters_->add(lane.shard, tenant, Counter::PoolDrops);
         return;
     }
 
@@ -733,7 +737,6 @@ UdpServer::queueReject(Lane &lane, const sockaddr_in &peer,
 
     Response out;
     out.seq = rh.seq;
-    out.rxNs = rxNs;
     out.doneNs = 0; // rejects take no service->tx or e2e samples
     out.tenant = tenant;
     out.peer = peer;
@@ -748,15 +751,10 @@ UdpServer::queueReject(Lane &lane, const sockaddr_in &peer,
 void
 UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
 {
-    trace::Tracer *tracer = cfg_.tracer;
     const unsigned shard = lane.shard;
     const std::uint32_t track = lane.track;
     telemetry::StageLatencyShards *lat = stageLat_.get();
     telemetry::FlightRecorder &flight = *flight_;
-    if (HP_TRACE_ON(tracer)) {
-        tracer->instant(trace::Stage::QwaitReturn, track, nowTicks(),
-                        qid, n);
-    }
 
     std::vector<Request> &reqs = lane.reqs;
     // The doorbell can over-advertise (watchdog replays, drain races);
@@ -793,10 +791,6 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
                          trace::Phase::Begin, track, nowTicks(), qid,
                          req.hdr.seq);
         }
-        if (HP_TRACE_ON(tracer)) {
-            tracer->begin(trace::Stage::Service, track, nowTicks(), qid,
-                          req.hdr.seq);
-        }
         Response resp = makeResponse(lane, qid, req);
         resp.rxNs = req.rxNs;
         resp.tenant = req.tenant;
@@ -808,19 +802,10 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
                          trace::Phase::End, track, nowTicks(), qid,
                          req.hdr.seq);
         }
-        if (HP_TRACE_ON(tracer)) {
-            tracer->end(trace::Stage::Service, track, nowTicks(), qid,
-                        req.hdr.seq);
-        }
         lane.out.push_back(std::move(resp));
     }
-    hotCounters_->add(shard, telemetry::HotCounter::Served,
-                      reqs.size());
-    const unsigned owner = tenants_->tenantOfQueue(qid);
-    if (owner != TenantTable::invalidTenant) {
-        tenants_->counters(owner).served.fetch_add(
-            reqs.size(), std::memory_order_relaxed);
-    }
+    counters_->add(shard, tenants_->tenantOfQueue(qid), Counter::Served,
+                   reqs.size());
     reqs.clear();
 }
 
@@ -923,7 +908,7 @@ UdpServer::makeResponse(Lane &lane, QueueId qid, Request &req)
     out.len = static_cast<std::uint32_t>(written);
     out.frame = std::move(req.frame);
     if (rh.status != wire::statusOk)
-        counters_.badStatus.fetch_add(1, std::memory_order_relaxed);
+        counters_->add(lane.shard, req.tenant, Counter::BadStatus);
     return out;
 }
 
@@ -933,7 +918,6 @@ UdpServer::sendReplies(Lane &lane)
     std::vector<Response> &out = lane.out;
     if (out.empty())
         return;
-    trace::Tracer *tracer = cfg_.tracer;
     const unsigned shard = lane.shard;
     telemetry::StageLatencyShards *lat = stageLat_.get();
     telemetry::FlightRecorder &flight = *flight_;
@@ -945,10 +929,11 @@ UdpServer::sendReplies(Lane &lane)
         lane.views.push_back(TxView{r.frame.data(), r.len, &r.peer});
     const std::size_t sent =
         lane.sock->sendBatch(lane.views.data(), lane.views.size());
-    hotCounters_->add(shard, telemetry::HotCounter::TxPackets, sent);
+    counters_->add(shard, CounterShards::noTenant, Counter::TxPackets,
+                   sent);
     if (sent < out.size()) {
-        counters_.txSendErrors.fetch_add(out.size() - sent,
-                                         std::memory_order_relaxed);
+        counters_->add(shard, CounterShards::noTenant,
+                       Counter::TxSendErrors, out.size() - sent);
     }
     if (lat) {
         // One clock read covers the whole sent batch.  doneNs == 0
@@ -978,24 +963,20 @@ UdpServer::sendReplies(Lane &lane)
             }
         }
     }
-    if (HP_TRACE_ON(tracer)) {
-        for (std::size_t i = 0; i < sent; ++i) {
-            tracer->instant(trace::Stage::Completion, trace::trackDevice,
-                            nowTicks(), invalidQueueId, out[i].seq);
-        }
-    }
     out.clear();
 }
 
 void
 UdpServer::watchdogLoop()
 {
-    trace::Tracer *tracer = cfg_.tracer;
     const auto period = microseconds(
         std::max<long>(50, static_cast<long>(
                                cfg_.fault.watchdogPeriodUs)));
     const unsigned shard = watchdogShard();
+    CounterShards &counters = *counters_;
     telemetry::FlightRecorder &flight = *flight_;
+    // No per-sweep WatchdogSweep stamp: at one per period it would
+    // evict the incident events this ring exists to keep.
     const auto fstamp = [&](trace::Stage st, QueueId qid,
                             std::uint64_t arg = 0) {
         if (flight.enabled()) {
@@ -1003,16 +984,23 @@ UdpServer::watchdogLoop()
                          trace::trackWatchdog, nowTicks(), qid, arg);
         }
     };
+    // Hand a demoted queue back to notification.
+    const auto promote = [&](QueueId qid, unsigned owner) {
+        fallback_.remove(qid);
+        recoveryCount_[qid] = 0;
+        cleanSweeps_[qid] = 0;
+        eventLog_.post(telemetry::OpEventKind::Promotion, nowNs(), qid);
+        fstamp(trace::Stage::Promotion, qid);
+        counters.add(shard, owner, Counter::Promotions);
+    };
 
     while (watchdogRunning_.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(period);
-        counters_.watchdogSweeps.fetch_add(1, std::memory_order_relaxed);
+        counters.add(shard, CounterShards::noTenant,
+                     Counter::WatchdogSweeps);
         bool demotedThisSweep = false;
-        if (HP_TRACE_ON(tracer)) {
-            tracer->instant(trace::Stage::WatchdogSweep,
-                            trace::trackWatchdog, nowTicks());
-        }
         for (QueueId qid = 0; qid < cfg_.numQueues; ++qid) {
+            const unsigned owner = tenants_->tenantOfQueue(qid);
             // Doorbell-storm audit: diff the device's monotonic
             // ring-call counter across sweeps.  A queue ringing past
             // the cap is demoted — muted on the device (its rings keep
@@ -1029,38 +1017,15 @@ UdpServer::watchdogLoop()
                 // the deficit machinery entirely.
                 if (hpDev_->pollActivate(qid)) {
                     fallback_.polls.inc();
-                    counters_.fallbackServes.fetch_add(
-                        1, std::memory_order_relaxed);
+                    counters.add(shard, owner, Counter::FallbackServes);
                     fstamp(trace::Stage::FallbackServe, qid);
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::FallbackServe,
-                                        trace::trackWatchdog, nowTicks(),
-                                        qid);
-                    }
                 }
                 if (cap > 0 && ringDelta > cap) {
                     cleanSweeps_[qid] = 0;
                 } else if (++cleanSweeps_[qid] >=
                            cfg_.fault.promoteCleanSweeps) {
                     hpDev_->setMuted(qid, false);
-                    fallback_.remove(qid);
-                    recoveryCount_[qid] = 0;
-                    cleanSweeps_[qid] = 0;
-                    eventLog_.post(telemetry::OpEventKind::Promotion,
-                                   nowNs(), qid);
-                    fstamp(trace::Stage::Promotion, qid);
-                    counters_.promotions.fetch_add(
-                        1, std::memory_order_relaxed);
-                    const unsigned owner = tenants_->tenantOfQueue(qid);
-                    if (owner != TenantTable::invalidTenant) {
-                        tenants_->counters(owner).promotions.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::Promotion,
-                                        trace::trackWatchdog, nowTicks(),
-                                        qid);
-                    }
+                    promote(qid, owner);
                 }
                 deficitPrev_[qid] = 0;
                 continue;
@@ -1071,11 +1036,8 @@ UdpServer::watchdogLoop()
                     fallback_.add(qid);
                 cleanSweeps_[qid] = 0;
                 demotedThisSweep = true;
-                counters_.demotions.fetch_add(1,
-                                              std::memory_order_relaxed);
-                counters_.stormDemotions.fetch_add(
-                    1, std::memory_order_relaxed);
-                const unsigned owner = tenants_->tenantOfQueue(qid);
+                counters.add(shard, owner, Counter::Demotions);
+                counters.add(shard, owner, Counter::StormDemotions);
                 eventLog_.post(
                     telemetry::OpEventKind::StormDemotion, nowNs(),
                     qid, ringDelta,
@@ -1083,15 +1045,6 @@ UdpServer::watchdogLoop()
                         ? "tenant=" + tenants_->name(owner)
                         : std::string());
                 fstamp(trace::Stage::Demotion, qid, ringDelta);
-                if (owner != TenantTable::invalidTenant) {
-                    tenants_->counters(owner).demotions.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-                if (HP_TRACE_ON(tracer)) {
-                    tracer->instant(trace::Stage::Demotion,
-                                    trace::trackWatchdog, nowTicks(),
-                                    qid);
-                }
                 deficitPrev_[qid] = 0;
                 continue;
             }
@@ -1131,35 +1084,13 @@ UdpServer::watchdogLoop()
                     cleanSweeps_[qid] = 0;
                     fallback_.polls.inc();
                     fallback_.tasksServed.inc(deficit);
-                    counters_.fallbackServes.fetch_add(
-                        deficit, std::memory_order_relaxed);
+                    counters.add(shard, owner, Counter::FallbackServes,
+                                 deficit);
                     hpDev_->ring(qid, deficit);
                     fstamp(trace::Stage::FallbackServe, qid, deficit);
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::FallbackServe,
-                                        trace::trackWatchdog, nowTicks(),
-                                        qid, deficit);
-                    }
                 } else if (++cleanSweeps_[qid] >=
                            cfg_.fault.promoteCleanSweeps) {
-                    fallback_.remove(qid);
-                    recoveryCount_[qid] = 0;
-                    cleanSweeps_[qid] = 0;
-                    eventLog_.post(telemetry::OpEventKind::Promotion,
-                                   nowNs(), qid);
-                    fstamp(trace::Stage::Promotion, qid);
-                    counters_.promotions.fetch_add(
-                        1, std::memory_order_relaxed);
-                    const unsigned owner = tenants_->tenantOfQueue(qid);
-                    if (owner != TenantTable::invalidTenant) {
-                        tenants_->counters(owner).promotions.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::Promotion,
-                                        trace::trackWatchdog, nowTicks(),
-                                        qid);
-                    }
+                    promote(qid, owner);
                 }
                 deficitPrev_[qid] = 0;
                 continue;
@@ -1172,17 +1103,11 @@ UdpServer::watchdogLoop()
                 const std::uint64_t lost =
                     std::min(deficit, deficitPrev_[qid]);
                 hpDev_->ring(qid, lost);
-                counters_.watchdogRecoveries.fetch_add(
-                    1, std::memory_order_relaxed);
+                counters.add(shard, owner, Counter::WatchdogRecoveries);
                 eventLog_.post(
                     telemetry::OpEventKind::RingDropRecovery, nowNs(),
                     qid, lost);
                 fstamp(trace::Stage::WatchdogRecovery, qid, lost);
-                if (HP_TRACE_ON(tracer)) {
-                    tracer->instant(trace::Stage::WatchdogRecovery,
-                                    trace::trackWatchdog, nowTicks(),
-                                    qid, lost);
-                }
                 deficitPrev_[qid] = 0;
                 if (++recoveryCount_[qid] >=
                     cfg_.fault.demoteThreshold) {
@@ -1193,18 +1118,7 @@ UdpServer::watchdogLoop()
                                    nowNs(), qid,
                                    recoveryCount_[qid]);
                     fstamp(trace::Stage::Demotion, qid);
-                    counters_.demotions.fetch_add(
-                        1, std::memory_order_relaxed);
-                    const unsigned owner = tenants_->tenantOfQueue(qid);
-                    if (owner != TenantTable::invalidTenant) {
-                        tenants_->counters(owner).demotions.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                    if (HP_TRACE_ON(tracer)) {
-                        tracer->instant(trace::Stage::Demotion,
-                                        trace::trackWatchdog, nowTicks(),
-                                        qid);
-                    }
+                    counters.add(shard, owner, Counter::Demotions);
                 }
             } else {
                 deficitPrev_[qid] = deficit;
@@ -1222,12 +1136,7 @@ UdpServer::watchdogLoop()
 
         // ---- per-sweep telemetry: shed spikes, tenant thresholds,
         //      and flight-dump triggers -------------------------------
-        const auto ld = [](const std::atomic<std::uint64_t> &c) {
-            return c.load(std::memory_order_relaxed);
-        };
-        const std::uint64_t shedNow = ld(counters_.shedRateLimited) +
-                                      ld(counters_.shedWatermark) +
-                                      ld(counters_.shedQueueFull);
+        const std::uint64_t shedNow = counterSnapshot().shedTotal();
         const std::uint64_t shedDelta = shedNow - shedPrevSweep_;
         shedPrevSweep_ = shedNow;
         const bool shedSpike = cfg_.telemetry.shedSpikePerSweep > 0 &&
@@ -1238,10 +1147,7 @@ UdpServer::watchdogLoop()
                            ~0u, shedDelta);
         }
         for (unsigned t = 0; t < tenants_->numTenants(); ++t) {
-            const TenantCounters &tc = tenants_->counters(t);
-            const std::uint64_t tShed = ld(tc.rateLimited) +
-                                        ld(tc.watermarkShed) +
-                                        ld(tc.queueFullShed);
+            const std::uint64_t tShed = counterSnapshot(t).shedTotal();
             const std::uint64_t tDelta = tShed - tenantShedPrev_[t];
             tenantShedPrev_[t] = tShed;
             if (tDelta > 0 && !tenantShedActive_[t]) {
@@ -1288,45 +1194,19 @@ UdpServer::maybeFlightDump(const char *reason, std::uint64_t ns)
 void
 UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
 {
-    const auto scalar = [&reg, &prefix](
-                            const char *name,
-                            const std::atomic<std::uint64_t> *c) {
-        reg.addScalar(prefix + "." + name, [c] {
-            return static_cast<double>(
-                c->load(std::memory_order_relaxed));
+    // The declared counter table: one scalar per server-wide row, each
+    // a sum over the whole matrix.  Per-tenant rows follow below.
+    for (const CounterRow &row : kCounterTable) {
+        if (!row.name)
+            continue;
+        reg.addScalar(prefix + "." + row.name, [this, c = row.counter] {
+            return counters_ ? static_cast<double>(counters_->total(c))
+                             : 0.0;
         });
-    };
-    // Hot counters live in the telemetry shards; aggregate on read.
-    const auto hot = [&reg, &prefix, this](const char *name,
-                                           telemetry::HotCounter c) {
-        reg.addScalar(prefix + "." + name, [this, c] {
-            return hotCounters_
-                ? static_cast<double>(hotCounters_->total(c))
-                : 0.0;
-        });
-    };
-    hot("rx_batches", telemetry::HotCounter::RxBatches);
-    hot("rx_packets", telemetry::HotCounter::RxPackets);
-    hot("rx_parse_errors", telemetry::HotCounter::ParseErrors);
-    hot("requests_served", telemetry::HotCounter::Served);
+    }
     reg.addScalar(prefix + ".requests_served_inline", [this] {
         return static_cast<double>(counterSnapshot().servedInline);
     });
-    hot("tx_packets", telemetry::HotCounter::TxPackets);
-    scalar("rx_queue_drops", &counters_.queueDrops);
-    scalar("shed_rate_limited", &counters_.shedRateLimited);
-    scalar("shed_watermark", &counters_.shedWatermark);
-    scalar("shed_queue_full", &counters_.shedQueueFull);
-    scalar("storm_demotions", &counters_.stormDemotions);
-    scalar("rings_dropped", &counters_.ringsDropped);
-    scalar("responses_bad_status", &counters_.badStatus);
-    scalar("tx_send_errors", &counters_.txSendErrors);
-    scalar("watchdog_sweeps", &counters_.watchdogSweeps);
-    scalar("watchdog_recoveries", &counters_.watchdogRecoveries);
-    scalar("fallback_serves", &counters_.fallbackServes);
-    scalar("demotions", &counters_.demotions);
-    scalar("promotions", &counters_.promotions);
-    scalar("pool_drops", &counters_.poolDrops);
 
     // Zero-copy pool health.  Sums across the per-RX-shard pools (plus
     // the reject reserve where it applies).
@@ -1442,22 +1322,17 @@ UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
         for (unsigned t = 0; t < tenants_->numTenants(); ++t) {
             const std::string tp =
                 prefix + ".tenant." + tenants_->name(t);
-            const TenantCounters &tc = tenants_->counters(t);
-            const auto tscalar =
-                [&reg, &tp](const char *name,
-                            const std::atomic<std::uint64_t> *c) {
-                    reg.addScalar(tp + "." + name, [c] {
-                        return static_cast<double>(
-                            c->load(std::memory_order_relaxed));
-                    });
-                };
-            tscalar("admitted", &tc.admitted);
-            tscalar("rate_limited", &tc.rateLimited);
-            tscalar("watermark_shed", &tc.watermarkShed);
-            tscalar("queue_full_shed", &tc.queueFullShed);
-            tscalar("served", &tc.served);
-            tscalar("demotions", &tc.demotions);
-            tscalar("promotions", &tc.promotions);
+            for (const CounterRow &row : kCounterTable) {
+                if (!row.tenantName)
+                    continue;
+                reg.addScalar(tp + "." + row.tenantName,
+                              [this, t, c = row.counter] {
+                                  return counters_
+                                      ? static_cast<double>(
+                                            counters_->tenantTotal(t, c))
+                                      : 0.0;
+                              });
+            }
             // Per-tenant per-stage quantiles, merged across shards.
             for (unsigned si = 0; si < telemetry::kNumServerStages;
                  ++si) {

@@ -34,12 +34,16 @@
  * promotion back after clean sweeps — the emulation-side mirror of the
  * simulator's watchdog + FallbackSet machinery.
  *
- * With a Tracer attached, every stage stamps events the existing
- * Perfetto exporter renders: DoorbellWrite (RX), QwaitReturn (grant),
- * Service spans and Completion (the serving thread), plus the watchdog
- * events.
- * Ticks are nsToTicks(ns since start), so exported microseconds are
- * wall-clock microseconds.
+ * Instrumentation is one substrate.  Every count is one add into a
+ * single-writer cell of telemetry::CounterShards (shard x tenant x
+ * counter), and every event is stamped once, into the sampled
+ * telemetry::FlightRecorder: DoorbellWrite and AdmissionShed (RX),
+ * QwaitReturn (grant), Service spans and Completion (the serving
+ * thread), SnoopDropped (an injected ring drop), plus the watchdog
+ * events.  telemetry.sampleEvery = 1 traces every request, and
+ * flightTraceJson() renders the rings for Perfetto.  Ticks are
+ * nsToTicks(ns since start), so exported microseconds are wall-clock
+ * microseconds.
  */
 
 #ifndef HYPERPLANE_SERVER_SERVER_HH
@@ -193,45 +197,19 @@ struct ServerConfig
 
     /** Live telemetry plane (on by default; see TelemetryConfig). */
     telemetry::TelemetryConfig telemetry;
-
-    /** Optional tracer; the server installs a wall-clock tick source. */
-    trace::Tracer *tracer = nullptr;
 };
 
 /**
- * Cold server counters (all monotonic).  Unlike the simulator's
- * stats::Counter these are atomics — RX shards, workers and the
- * watchdog increment them concurrently.  The *hot* per-packet
- * counters (rx_batches, rx_packets, parse_errors, served, tx_packets)
- * moved into telemetry::CounterShards — one single-writer cache line
- * per stage thread instead of a contended fetch_add — and are read
- * through UdpServer::counterSnapshot().
+ * Point-in-time copy of the server's counters: server-wide from
+ * UdpServer::counterSnapshot(), or one tenant's column from
+ * counterSnapshot(tenant).
  */
-struct ServerCounters
-{
-    std::atomic<std::uint64_t> queueDrops{0};
-    /** Packets unanswerable: no frame left even for a typed reject. */
-    std::atomic<std::uint64_t> poolDrops{0};
-    std::atomic<std::uint64_t> shedRateLimited{0};
-    std::atomic<std::uint64_t> shedWatermark{0};
-    std::atomic<std::uint64_t> shedQueueFull{0};
-    std::atomic<std::uint64_t> stormDemotions{0};
-    std::atomic<std::uint64_t> ringsDropped{0};
-    std::atomic<std::uint64_t> badStatus{0};
-    std::atomic<std::uint64_t> txSendErrors{0};
-    std::atomic<std::uint64_t> watchdogSweeps{0};
-    std::atomic<std::uint64_t> watchdogRecoveries{0};
-    std::atomic<std::uint64_t> fallbackServes{0};
-    std::atomic<std::uint64_t> demotions{0};
-    std::atomic<std::uint64_t> promotions{0};
-};
-
-/** Point-in-time copy of every server counter, hot and cold. */
 struct ServerCounterSnapshot
 {
     std::uint64_t rxBatches = 0;
     std::uint64_t rxPackets = 0;
     std::uint64_t parseErrors = 0;
+    std::uint64_t admitted = 0;
     std::uint64_t served = 0;
     /** Part of served that RX threads served on their own grant. */
     std::uint64_t servedInline = 0;
@@ -258,6 +236,12 @@ struct ServerCounterSnapshot
     std::uint64_t fallbackServes = 0;
     std::uint64_t demotions = 0;
     std::uint64_t promotions = 0;
+
+    /** Every reject flavour combined. */
+    std::uint64_t shedTotal() const
+    {
+        return shedRateLimited + shedWatermark + shedQueueFull;
+    }
 };
 
 /** The UDP data-plane server. */
@@ -293,10 +277,17 @@ class UdpServer
     std::uint16_t port() const { return port_; }
 
     const ServerConfig &config() const { return cfg_; }
-    const ServerCounters &counters() const { return counters_; }
 
-    /** Consistent-enough copy of every counter, hot and cold. */
+    /** Consistent-enough copy of every counter, summed over tenants. */
     ServerCounterSnapshot counterSnapshot() const;
+
+    /**
+     * The counters of one tenant's column (TenantTable ids), or of the
+     * no-tenant column for telemetry::CounterShards::noTenant.  The
+     * frame-pool fields and servedInline are server-wide only and stay
+     * 0 here.
+     */
+    ServerCounterSnapshot counterSnapshot(unsigned tenant) const;
 
     /** The notification device (doorbell / wake counters). */
     const emu::EmuHyperPlane &device() const { return *hpDev_; }
@@ -440,16 +431,18 @@ class UdpServer
     void serveGrant(Lane &lane, QueueId qid, std::uint64_t n);
     Response makeResponse(Lane &lane, QueueId qid, Request &req);
     /**
-     * Fail-fast reject from RX steering: build a payload-free typed
-     * reject into lane.out, skipping the queues entirely.  @p frame is
-     * the request's own frame when one exists (the reject reuses it); a
-     * null handle draws from the reject reserve, and if that too is dry
-     * the packet is counted in poolDrops and dropped.
+     * Refuse a request at RX steering, skipping the queues: count it as
+     * @p why in @p tenant's column, stamp AdmissionShed at @p ns if the
+     * request is sampled, and build a payload-free typed reject into
+     * lane.out.  @p frame is the request's own frame when one exists
+     * (the reject reuses it); a null handle draws from the reject
+     * reserve, and if that too is dry the packet is counted in
+     * PoolDrops and dropped.
      */
-    void queueReject(Lane &lane, const sockaddr_in &peer,
-                     const wire::RequestHeader &hdr, wire::Status status,
-                     unsigned tenant, std::uint64_t rxNs,
-                     FrameHandle &&frame);
+    void shed(Lane &lane, telemetry::Counter why, wire::Status status,
+              const sockaddr_in &peer, const wire::RequestHeader &hdr,
+              unsigned tenant, QueueId qid, std::uint64_t ns,
+              FrameHandle &&frame);
     /**
      * sendmmsg lane.out on the lane's socket, record the service->tx
      * and e2e samples and Completion stamps, then release the frames.
@@ -476,7 +469,6 @@ class UdpServer
     void maybeFlightDump(const char *reason, std::uint64_t ns);
 
     ServerConfig cfg_;
-    ServerCounters counters_;
 
     std::unique_ptr<emu::EmuHyperPlane> hpDev_;
     // Frame pools are declared before the queues and lanes on purpose:
@@ -518,7 +510,7 @@ class UdpServer
     std::unique_ptr<std::atomic<std::uint32_t>[]> rxEpoch_;
 
     // ----- telemetry state --------------------------------------------
-    std::unique_ptr<telemetry::CounterShards> hotCounters_;
+    std::unique_ptr<telemetry::CounterShards> counters_;
     std::unique_ptr<telemetry::StageLatencyShards> stageLat_;
     /// Decimation mask for per-request stage sampling: a request
     /// contributes latency samples iff (seq & mask) == 0 (see

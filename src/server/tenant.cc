@@ -129,7 +129,6 @@ TenantTable::TenantTable(std::vector<dp::TenantSpec> specs,
         buckets_.push_back(std::make_unique<TokenBucket>(
             s.rateLimitPerSec, s.burst));
     }
-    counters_ = std::make_unique<TenantCounters[]>(specs_.size());
 }
 
 unsigned

@@ -77,28 +77,11 @@ class TokenBucket
     std::atomic<std::int64_t> microTokens_{0};
 };
 
-/** Per-tenant server counters (shared by RX shards and the watchdog). */
-struct TenantCounters
-{
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> rateLimited{0};   ///< token-bucket rejects
-    std::atomic<std::uint64_t> watermarkShed{0}; ///< backlog-watermark rejects
-    std::atomic<std::uint64_t> queueFullShed{0}; ///< queue-capacity rejects
-    std::atomic<std::uint64_t> served{0};
-    std::atomic<std::uint64_t> demotions{0};
-    std::atomic<std::uint64_t> promotions{0};
-
-    /** Every reject flavour combined. */
-    std::uint64_t
-    shedTotal() const
-    {
-        return rateLimited.load(std::memory_order_relaxed) +
-               watermarkShed.load(std::memory_order_relaxed) +
-               queueFullShed.load(std::memory_order_relaxed);
-    }
-};
-
-/** Immutable tenant map + mutable admission state for one server. */
+/**
+ * Immutable tenant map + mutable admission state for one server.  It
+ * classifies, admits and steers; the server counts each tenant's
+ * traffic in a tenant column of its counter matrix.
+ */
 class TenantTable
 {
   public:
@@ -175,15 +158,6 @@ class TenantTable
         return shedThreshold_[tenant];
     }
 
-    TenantCounters &counters(unsigned tenant)
-    {
-        return counters_[tenant];
-    }
-    const TenantCounters &counters(unsigned tenant) const
-    {
-        return counters_[tenant];
-    }
-
   private:
     std::vector<dp::TenantSpec> specs_;
     std::vector<std::string> names_;
@@ -191,7 +165,6 @@ class TenantTable
     std::vector<unsigned> queueOwner_;
     std::vector<std::size_t> shedThreshold_;
     std::vector<std::unique_ptr<TokenBucket>> buckets_;
-    std::unique_ptr<TenantCounters[]> counters_;
 };
 
 } // namespace server

@@ -9,24 +9,6 @@ namespace hyperplane {
 namespace telemetry {
 
 const char *
-toString(HotCounter c)
-{
-    switch (c) {
-      case HotCounter::RxBatches:
-        return "rx_batches";
-      case HotCounter::RxPackets:
-        return "rx_packets";
-      case HotCounter::ParseErrors:
-        return "parse_errors";
-      case HotCounter::Served:
-        return "served";
-      case HotCounter::TxPackets:
-        return "tx_packets";
-    }
-    return "?";
-}
-
-const char *
 toString(ServerStage s)
 {
     switch (s) {
@@ -44,19 +26,41 @@ toString(ServerStage s)
     return "?";
 }
 
-CounterShards::CounterShards(unsigned shards)
+CounterShards::CounterShards(unsigned shards, unsigned tenants)
+    : shards_(shards), tenants_(tenants)
 {
     hp_assert(shards > 0, "CounterShards needs at least one shard");
-    for (unsigned i = 0; i < shards; ++i)
-        blocks_.emplace_back();
+    const std::size_t cells = std::size_t{tenants + 1} * kNumCounters;
+    const std::size_t linesPerShard =
+        (cells + kCellsPerLine - 1) / kCellsPerLine;
+    stride_ = linesPerShard * kCellsPerLine;
+    lines_ = std::make_unique<Line[]>(shards_ * linesPerShard);
 }
 
 std::uint64_t
-CounterShards::total(HotCounter c) const
+CounterShards::total(Counter c) const
 {
     std::uint64_t sum = 0;
-    for (const auto &b : blocks_)
-        sum += b.cells[static_cast<unsigned>(c)].read();
+    for (unsigned s = 0; s < shards_; ++s)
+        sum += shardValue(s, c);
+    return sum;
+}
+
+std::uint64_t
+CounterShards::tenantTotal(unsigned tenant, Counter c) const
+{
+    std::uint64_t sum = 0;
+    for (unsigned s = 0; s < shards_; ++s)
+        sum += cell(s, tenant, c).read();
+    return sum;
+}
+
+std::uint64_t
+CounterShards::shardValue(unsigned shard, Counter c) const
+{
+    std::uint64_t sum = 0;
+    for (unsigned t = 0; t <= tenants_; ++t)
+        sum += cell(shard, t, c).read();
     return sum;
 }
 

@@ -3,10 +3,9 @@
  * Sharded hot-path statistics: single-writer counters and per-stage
  * latency histograms.
  *
- * The server's hottest counters used to be contended std::atomic
- * fetch_adds touched by every RX shard and worker.  Here
- * each stage thread owns a cache-line-aligned block of cells and bumps
- * them with a plain load+store (memory_order_relaxed, no RMW): with
+ * Every server counter lives in one matrix of cells: each stage thread
+ * owns a cache-line-aligned block with a column per tenant, and bumps
+ * its cells with a plain load+store (memory_order_relaxed, no RMW): with
  * exactly one writer per cell there is nothing to win a race against,
  * the store costs the same as an ordinary increment, and TSan stays
  * happy because the cell is still a std::atomic.  Readers aggregate
@@ -21,9 +20,11 @@
 #ifndef HYPERPLANE_TELEMETRY_SHARD_STATS_HH
 #define HYPERPLANE_TELEMETRY_SHARD_STATS_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "stats/histogram.hh"
@@ -55,57 +56,96 @@ class WriterCell
     std::atomic<std::uint64_t> v_{0};
 };
 
-/** Hot server counters that moved out of the global atomic block. */
-enum class HotCounter : unsigned
+/**
+ * The server's counters, one row each of the CounterShards matrix.  The
+ * server's declared counter table gives each row its exported name and
+ * scope (server-wide, per tenant, or both).
+ */
+enum class Counter : unsigned
 {
-    RxBatches,   ///< recvmmsg batches with >= 1 datagram
-    RxPackets,   ///< datagrams received
-    ParseErrors, ///< datagrams rejected by the wire codec
-    Served,      ///< requests completed by a serving thread
-    TxPackets,   ///< responses sent
+    RxBatches,          ///< recvmmsg batches with >= 1 datagram
+    RxPackets,          ///< datagrams received
+    ParseErrors,        ///< datagrams rejected by the wire codec
+    Admitted,           ///< requests queued toward a serving thread
+    Served,             ///< requests completed by a serving thread
+    TxPackets,          ///< responses sent
+    QueueDrops,         ///< arrivals refused by a full request queue
+    PoolDrops,          ///< arrivals with no frame left even for a reject
+    ShedRateLimited,    ///< token-bucket rejects
+    ShedWatermark,      ///< backlog-watermark rejects
+    ShedQueueFull,      ///< full-queue and dry-pool rejects
+    StormDemotions,     ///< queues muted for ringing past the rate cap
+    RingsDropped,       ///< injected doorbell-ring drops
+    BadStatus,          ///< responses with a non-OK status
+    TxSendErrors,       ///< responses sendmmsg did not take
+    WatchdogSweeps,     ///< watchdog audit sweeps
+    WatchdogRecoveries, ///< lost rings the watchdog replayed
+    FallbackServes,     ///< work served by the polled fallback path
+    Demotions,          ///< queues demoted to polled mode (any cause)
+    Promotions,         ///< demoted queues promoted back
 };
 
-constexpr unsigned kNumHotCounters = 5;
-
-const char *toString(HotCounter c);
+constexpr unsigned kNumCounters = 20;
 
 /**
- * Per-shard blocks of hot counters.  A "shard" is one stage thread
- * (RX shard, worker, or the watchdog); each block is cache-line aligned
- * so two threads never share a line.
+ * The (shard x tenant column x counter) matrix of single-writer cells.
+ * A "shard" is one stage thread (RX shard, worker, or the watchdog) and
+ * only ever writes its own cells; each shard's block starts on a fresh
+ * cache line so two threads never share one.  Tenants 0..tenants-1
+ * have a column each, and one more column holds the counts that belong
+ * to no tenant: batches, parse errors, sweeps, sends, and events on a
+ * queue no tenant owns.  Every total is a sum over the matrix.
  */
 class CounterShards
 {
   public:
-    explicit CounterShards(unsigned shards);
+    /** Tenant id of the no-tenant column; every id >= numTenants()
+     *  lands there too. */
+    static constexpr unsigned noTenant = static_cast<unsigned>(-1);
 
-    unsigned numShards() const
+    CounterShards(unsigned shards, unsigned tenants);
+
+    unsigned numShards() const { return shards_; }
+    unsigned numTenants() const { return tenants_; }
+
+    /** Bump @p tenant's counter @p c from shard @p shard's own thread. */
+    void add(unsigned shard, unsigned tenant, Counter c,
+             std::uint64_t n = 1)
     {
-        return static_cast<unsigned>(blocks_.size());
+        cell(shard, tenant, c).add(n);
     }
 
-    /** Bump a counter from its owning shard thread. */
-    void add(unsigned shard, HotCounter c, std::uint64_t n = 1)
-    {
-        blocks_[shard].cells[static_cast<unsigned>(c)].add(n);
-    }
+    /** One counter summed over every shard and column (any thread). */
+    std::uint64_t total(Counter c) const;
 
-    /** Sum of one counter across all shards (any thread). */
-    std::uint64_t total(HotCounter c) const;
+    /** One column (a tenant, or noTenant) summed over every shard. */
+    std::uint64_t tenantTotal(unsigned tenant, Counter c) const;
 
-    /** One shard's value of one counter (any thread). */
-    std::uint64_t shardValue(unsigned shard, HotCounter c) const
-    {
-        return blocks_[shard].cells[static_cast<unsigned>(c)].read();
-    }
+    /** One shard's value summed over every column (any thread). */
+    std::uint64_t shardValue(unsigned shard, Counter c) const;
 
   private:
-    struct alignas(64) Block
+    static constexpr unsigned kCellsPerLine = 8;
+
+    struct alignas(64) Line
     {
-        WriterCell cells[kNumHotCounters];
+        WriterCell cells[kCellsPerLine];
     };
 
-    std::deque<Block> blocks_;
+    WriterCell &cell(unsigned shard, unsigned tenant, Counter c) const
+    {
+        const std::size_t i =
+            shard * stride_ +
+            std::min(tenant, tenants_) * std::size_t{kNumCounters} +
+            static_cast<unsigned>(c);
+        return lines_[i / kCellsPerLine].cells[i % kCellsPerLine];
+    }
+
+    unsigned shards_;
+    unsigned tenants_;
+    /** Cells per shard: every column, rounded up to whole lines. */
+    std::size_t stride_;
+    std::unique_ptr<Line[]> lines_;
 };
 
 /** Server pipeline stages with live latency histograms. */

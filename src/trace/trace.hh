@@ -104,12 +104,11 @@ std::string trackName(std::uint32_t track);
  * Ring-buffered event sink.  Records only while enabled; overflow
  * drops the oldest event (dropped() counts the casualties).
  *
- * Thread safety: stamp sites live on real server threads (RX shards,
- * QWAIT workers, TX, watchdog) as well as the single-threaded
- * simulator, so push/snapshot/clear serialize on an internal mutex.
- * The lock is uncontended in the simulator and held for a single
- * 32-byte copy on server threads; the *sampled* hot path belongs to
- * telemetry::FlightRecorder, which is lock-free.
+ * Only the simulator stamps a Tracer; the UDP server stamps
+ * telemetry::FlightRecorder, which is lock-free.  push/snapshot/clear
+ * still serialize on an internal mutex, so a tracer may be read from
+ * another thread while a run stamps it; in the single-threaded
+ * simulator the lock is never contended.
  */
 class Tracer
 {

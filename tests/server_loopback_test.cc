@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "server/loadgen.hh"
@@ -137,6 +138,7 @@ TEST(ServerLoopback, WatchdogRecoversDroppedRings)
     cfg.fault.dropRingProbability = 1.0;
     cfg.fault.watchdogPeriodUs = 500.0;
     cfg.fault.demoteThreshold = 2;
+    cfg.telemetry.sampleEvery = 1;
     UdpServer srv(cfg);
     START_OR_SKIP(srv);
 
@@ -147,12 +149,26 @@ TEST(ServerLoopback, WatchdogRecoversDroppedRings)
     EXPECT_TRUE(srv.stop());
 
     ASSERT_GT(report->sent, 0u);
-    EXPECT_GT(srv.counters().ringsDropped.load(), 0u);
-    EXPECT_GT(srv.counters().watchdogRecoveries.load(), 0u);
+    const ServerCounterSnapshot s = srv.counterSnapshot();
+    EXPECT_GT(s.ringsDropped, 0u);
+    EXPECT_GT(s.watchdogRecoveries, 0u);
     // Everything was still answered, through recovery + fallback.
     EXPECT_GE(report->completionRatio, 0.999);
-    EXPECT_GT(srv.counters().demotions.load(), 0u);
-    EXPECT_GT(srv.counters().fallbackServes.load(), 0u);
+    EXPECT_GT(s.demotions, 0u);
+    EXPECT_GT(s.fallbackServes, 0u);
+
+    // The flight recorder holds the incident: the lost doorbells and
+    // the watchdog's replay of them.
+    bool sawDrop = false, sawRecovery = false;
+    for (const auto &e : srv.flightRecorder()->snapshot()) {
+        sawDrop |= e.stage == trace::Stage::SnoopDropped;
+        sawRecovery |= e.stage == trace::Stage::WatchdogRecovery;
+    }
+    EXPECT_TRUE(sawDrop);
+    EXPECT_TRUE(sawRecovery);
+    const std::string json = srv.flightTraceJson();
+    EXPECT_NE(json.find("snoop_dropped"), std::string::npos);
+    EXPECT_NE(json.find("watchdog_recovery"), std::string::npos);
 }
 
 TEST(ServerLoopback, HealthyTrafficTriggersNoRecoveries)
@@ -171,21 +187,20 @@ TEST(ServerLoopback, HealthyTrafficTriggersNoRecoveries)
     ASSERT_TRUE(report.has_value());
     EXPECT_TRUE(srv.stop());
 
-    EXPECT_GT(srv.counters().watchdogSweeps.load(), 10u);
-    EXPECT_EQ(srv.counters().watchdogRecoveries.load(), 0u);
-    EXPECT_EQ(srv.counters().demotions.load(), 0u);
+    const ServerCounterSnapshot s = srv.counterSnapshot();
+    EXPECT_GT(s.watchdogSweeps, 10u);
+    EXPECT_EQ(s.watchdogRecoveries, 0u);
+    EXPECT_EQ(s.demotions, 0u);
 }
 
 TEST(ServerLoopback, TraceStampsExportToChromeJson)
 {
-    if (!trace::kCompiledIn)
-        GTEST_SKIP() << "built with HYPERPLANE_TRACE=0";
-    trace::Tracer tracer(1 << 18);
-    tracer.setEnabled(true);
-
+    // Tracing every request is the flight recorder at sampleEvery = 1,
+    // with rings big enough to keep the whole run.
     ServerConfig cfg;
     cfg.workers = 2;
-    cfg.tracer = &tracer;
+    cfg.telemetry.sampleEvery = 1;
+    cfg.telemetry.recorderCapacity = 1 << 14;
     UdpServer srv(cfg);
     START_OR_SKIP(srv);
 
@@ -194,7 +209,8 @@ TEST(ServerLoopback, TraceStampsExportToChromeJson)
     ASSERT_TRUE(report.has_value());
     EXPECT_TRUE(srv.stop());
 
-    const auto events = tracer.snapshot();
+    const telemetry::FlightRecorder &flight = *srv.flightRecorder();
+    const auto events = flight.snapshot();
     ASSERT_FALSE(events.empty());
 
     // Every pipeline stage must have stamped something.
@@ -211,14 +227,15 @@ TEST(ServerLoopback, TraceStampsExportToChromeJson)
     EXPECT_TRUE(sawService);
     EXPECT_TRUE(sawCompletion);
 
-    // Service begin/end spans must pair per worker track.
-    if (tracer.dropped() == 0) {
+    // Service begin/end spans must pair per serving thread's track, as
+    // long as no ring wrapped.
+    if (flight.recorded() <= flight.capacity()) {
         const auto check = trace::checkSpanPairing(events);
         EXPECT_TRUE(check.ok) << check.error;
     }
 
-    // And the existing exporter must consume them as-is.
-    const std::string json = trace::chromeTraceJson(events);
+    // And the server's export renders them for Perfetto.
+    const std::string json = srv.flightTraceJson();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("doorbell_write"), std::string::npos);
     EXPECT_NE(json.find("completion"), std::string::npos);

@@ -39,36 +39,56 @@ namespace {
 
 TEST(CounterShards, PerShardAddsAggregate)
 {
-    CounterShards cs(3);
-    cs.add(0, HotCounter::RxPackets, 10);
-    cs.add(1, HotCounter::RxPackets, 20);
-    cs.add(2, HotCounter::RxPackets);
-    cs.add(1, HotCounter::Served, 5);
-    EXPECT_EQ(cs.total(HotCounter::RxPackets), 31u);
-    EXPECT_EQ(cs.total(HotCounter::Served), 5u);
-    EXPECT_EQ(cs.total(HotCounter::TxPackets), 0u);
-    EXPECT_EQ(cs.shardValue(1, HotCounter::RxPackets), 20u);
+    // Three shards over two tenants plus the no-tenant column.
+    CounterShards cs(3, 2);
+    cs.add(0, 0, Counter::RxPackets, 10);
+    cs.add(1, 1, Counter::RxPackets, 20);
+    cs.add(2, CounterShards::noTenant, Counter::RxPackets);
+    cs.add(1, 0, Counter::Served, 5);
+    cs.add(1, 1, Counter::Served, 7);
+    cs.add(0, 2, Counter::Served, 3); // past the last tenant: no-tenant
+    EXPECT_EQ(cs.total(Counter::RxPackets), 31u);
+    EXPECT_EQ(cs.total(Counter::Served), 15u);
+    EXPECT_EQ(cs.total(Counter::TxPackets), 0u);
+    EXPECT_EQ(cs.shardValue(1, Counter::RxPackets), 20u);
+    EXPECT_EQ(cs.shardValue(1, Counter::Served), 12u);
+    EXPECT_EQ(cs.tenantTotal(0, Counter::Served), 5u);
+    EXPECT_EQ(cs.tenantTotal(1, Counter::Served), 7u);
+    EXPECT_EQ(cs.tenantTotal(CounterShards::noTenant, Counter::Served), 3u);
+    EXPECT_EQ(cs.tenantTotal(1, Counter::RxPackets), 20u);
+    // The total is exactly the tenant columns plus the no-tenant column.
+    for (Counter c : {Counter::RxPackets, Counter::Served}) {
+        EXPECT_EQ(cs.total(c),
+                  cs.tenantTotal(0, c) + cs.tenantTotal(1, c) +
+                      cs.tenantTotal(CounterShards::noTenant, c));
+    }
 }
 
 TEST(CounterShards, ConcurrentWritersNeverLoseCounts)
 {
     // One writer per shard is the contract; under TSan this checks the
-    // relaxed load+store discipline is race-free.
+    // relaxed load+store discipline is race-free.  Each writer spreads
+    // its adds over every tenant column and the no-tenant column, so
+    // neighbouring shards' blocks are written concurrently.
     constexpr unsigned shards = 4;
+    constexpr unsigned tenants = 3;
     constexpr std::uint64_t perShard = 100000;
-    CounterShards cs(shards);
+    CounterShards cs(shards, tenants);
     std::vector<std::thread> ts;
     for (unsigned s = 0; s < shards; ++s) {
         ts.emplace_back([&cs, s] {
-            for (std::uint64_t i = 0; i < perShard; ++i)
-                cs.add(s, HotCounter::RxPackets);
+            for (std::uint64_t i = 0; i < perShard; ++i) {
+                const unsigned t = static_cast<unsigned>(i % (tenants + 1));
+                cs.add(s, t < tenants ? t : CounterShards::noTenant,
+                       Counter::RxPackets);
+            }
         });
     }
     std::atomic<bool> run{true};
     std::thread reader([&] {
         std::uint64_t prev = 0;
         while (run.load(std::memory_order_relaxed)) {
-            const std::uint64_t t = cs.total(HotCounter::RxPackets);
+            const std::uint64_t t = cs.total(Counter::RxPackets);
             ASSERT_GE(t, prev); // monotone under concurrent reads
             prev = t;
         }
@@ -77,7 +97,13 @@ TEST(CounterShards, ConcurrentWritersNeverLoseCounts)
         t.join();
     run.store(false);
     reader.join();
-    EXPECT_EQ(cs.total(HotCounter::RxPackets), shards * perShard);
+    EXPECT_EQ(cs.total(Counter::RxPackets), shards * perShard);
+    for (unsigned t = 0; t < tenants; ++t) {
+        EXPECT_EQ(cs.tenantTotal(t, Counter::RxPackets),
+                  shards * perShard / (tenants + 1));
+    }
+    EXPECT_EQ(cs.tenantTotal(CounterShards::noTenant, Counter::RxPackets),
+              shards * perShard / (tenants + 1));
 }
 
 TEST(HistogramShard, MatchesLogHistogramQuantiles)

@@ -645,11 +645,12 @@ TEST(ServerTenantLoopback, RateLimitedExcessIsShedNotLost)
     EXPECT_GT(report->answeredRatio, 0.99);
     EXPECT_LT(report->lost, report->sent / 20 + 1);
 
-    const auto &tt = srv.tenantTable();
-    EXPECT_GT(tt.counters(1).rateLimited.load(), 0u);
-    EXPECT_GT(tt.counters(1).admitted.load(), 0u);
-    EXPECT_EQ(tt.counters(0).admitted.load(), 0u);
-    EXPECT_EQ(report->shed, tt.counters(1).shedTotal());
+    const server::ServerCounterSnapshot victim = srv.counterSnapshot(0);
+    const server::ServerCounterSnapshot aggr = srv.counterSnapshot(1);
+    EXPECT_GT(aggr.shedRateLimited, 0u);
+    EXPECT_GT(aggr.admitted, 0u);
+    EXPECT_EQ(victim.admitted, 0u);
+    EXPECT_EQ(report->shed, aggr.shedTotal());
     EXPECT_TRUE(srv.stop());
 }
 
@@ -674,13 +675,12 @@ TEST(ServerTenantLoopback, StormingTenantIsDemotedAndPromoted)
     // Post-storm quiet time: enough clean sweeps to promote back.
     std::this_thread::sleep_for(100ms);
 
-    const auto &c = srv.counters();
-    EXPECT_GE(c.stormDemotions.load(), 1u);
-    EXPECT_GE(c.promotions.load(), 1u);
+    const server::ServerCounterSnapshot c = srv.counterSnapshot();
+    EXPECT_GE(c.stormDemotions, 1u);
+    EXPECT_GE(c.promotions, 1u);
     EXPECT_GT(srv.device().mutedRings(), 0u);
-    const auto &tt = srv.tenantTable();
-    EXPECT_GE(tt.counters(1).demotions.load(), 1u);
-    EXPECT_EQ(tt.counters(0).demotions.load(), 0u);
+    EXPECT_GE(srv.counterSnapshot(1).demotions, 1u);
+    EXPECT_EQ(srv.counterSnapshot(0).demotions, 0u);
 
     // Containment is not loss: both tenants' admitted traffic was
     // answered.
