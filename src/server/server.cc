@@ -1136,7 +1136,15 @@ UdpServer::watchdogLoop()
 
         // ---- per-sweep telemetry: shed spikes, tenant thresholds,
         //      and flight-dump triggers -------------------------------
-        const std::uint64_t shedNow = counterSnapshot().shedTotal();
+        // Read only the three shed rows, not whole snapshots: this runs
+        // every sweep, and a snapshot sums every row of the matrix.
+        const auto shedOf = [](auto value) {
+            return value(Counter::ShedRateLimited) +
+                   value(Counter::ShedWatermark) +
+                   value(Counter::ShedQueueFull);
+        };
+        const std::uint64_t shedNow =
+            shedOf([&](Counter c) { return counters.total(c); });
         const std::uint64_t shedDelta = shedNow - shedPrevSweep_;
         shedPrevSweep_ = shedNow;
         const bool shedSpike = cfg_.telemetry.shedSpikePerSweep > 0 &&
@@ -1147,7 +1155,8 @@ UdpServer::watchdogLoop()
                            ~0u, shedDelta);
         }
         for (unsigned t = 0; t < tenants_->numTenants(); ++t) {
-            const std::uint64_t tShed = counterSnapshot(t).shedTotal();
+            const std::uint64_t tShed = shedOf(
+                [&](Counter c) { return counters.tenantTotal(t, c); });
             const std::uint64_t tDelta = tShed - tenantShedPrev_[t];
             tenantShedPrev_[t] = tShed;
             if (tDelta > 0 && !tenantShedActive_[t]) {
