@@ -25,9 +25,9 @@
  *   --metrics-port P  HTTP+UDP metrics endpoint (0 = ephemeral;
  *                     omitted = no endpoint)
  *   --metrics-ip A    metrics bind address (default 127.0.0.1)
- *   --sample-every N  flight-recorder sampling period (default 64)
- *   --stage-sample-every N  stage-histogram decimation (power of two,
- *                     default 8; 1 = sample every request)
+ *   --sample-every N  per-request sampling period for flight stamps
+ *                     and stage histograms (rounded down to a power of
+ *                     two; default 32; 1 = trace every request)
  *   --flight-prefix S automatic flight dump path prefix
  *   --no-telemetry    disable histograms + flight recorder
  *   --dump-metrics    print the Prometheus page to stdout on exit
@@ -88,10 +88,6 @@ main(int argc, char **argv)
     if (const char *v = harness::argValue(argc, argv, "--metrics-ip"))
         cfg.telemetry.metricsIp = v;
     if (const char *v = harness::argValue(argc, argv, "--sample-every"))
-        cfg.telemetry.sampleEvery =
-            static_cast<std::uint64_t>(std::atoll(v));
-    if (const char *v =
-            harness::argValue(argc, argv, "--stage-sample-every"))
         cfg.telemetry.stageSampleEvery =
             static_cast<std::uint64_t>(std::atoll(v));
     if (const char *v =

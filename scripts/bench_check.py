@@ -16,7 +16,7 @@ noisy shared runner cannot fail the build.  Pass --strict to make ALL
 drift fatal for local use.
 
 Usage:
-  bench_check.py --baseline tests/golden/BENCH_perf_smoke.json \
+  bench_check.py --baseline tests/golden/BENCH_perf_smoke_baseline.json \
                  --current BENCH_perf_smoke.json [--strict]
   bench_check.py --baseline ... --current ... --refresh
       rewrite the baseline from the current export and print the diff.
@@ -27,12 +27,15 @@ import json
 import sys
 
 # Leaves whose key path matches one of these substrings vary with the
-# host and are never compared.
+# host and are never compared.  fig10_sweep.sweep_check records whether
+# the --jobs speedup gate ran ("ok") or was skipped on a host with
+# fewer than 4 CPUs; fig10_sweep.byte_identical carries the invariant.
 SKIP_SUBSTRINGS = (
     "host.",
     "hardware_concurrency",
     "jobs",
     "git_sha",
+    "sweep_check",
 )
 
 # Timing-like leaves: compared with a relative tolerance.

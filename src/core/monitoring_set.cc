@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace hyperplane {
@@ -137,9 +138,10 @@ MonitoringSet::insert(Addr doorbell, QueueId qid)
         std::swap(incoming, **it);
     walkSteps.inc(cfg_.maxWalkSteps);
     insertConflicts.inc();
-    if (HP_TRACE_ON(tracer_)) {
-        tracer_->instant(trace::Stage::MonitorConflict, track_,
-                         tracer_->now(), qid, tag);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::MonitorConflict,
+                       trace::Phase::Instant, track_, clock_->now(), qid,
+                       tag);
     }
     return InsertResult::Conflict;
 }
@@ -165,9 +167,9 @@ MonitoringSet::onWriteTransaction(Addr line)
         return std::nullopt;
     e->armed = false;
     snoopMatches.inc();
-    if (HP_TRACE_ON(tracer_)) {
-        tracer_->instant(trace::Stage::MonitorHit, track_,
-                         tracer_->now(), e->qid, line);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::MonitorHit, trace::Phase::Instant,
+                       track_, clock_->now(), e->qid, line);
     }
     return e->qid;
 }

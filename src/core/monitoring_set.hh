@@ -24,9 +24,12 @@
 
 #include "sim/types.hh"
 #include "stats/sampler.hh"
-#include "trace/trace.hh"
+#include "trace/flight_recorder.hh"
 
 namespace hyperplane {
+
+class EventQueue;
+
 namespace core {
 
 /** One monitoring-set entry (tag, QID, monitoring bit, valid bit). */
@@ -127,12 +130,15 @@ class MonitoringSet
     unsigned occupancy() const { return occupancy_; }
 
     /**
-     * Attach a tracer: armed snoop matches stamp monitor_hit and
-     * failed Cuckoo walks stamp monitor_conflict on @p track.
+     * Attach a flight recorder: armed snoop matches stamp monitor_hit
+     * and failed Cuckoo walks stamp monitor_conflict on @p track at
+     * @p clock's time.
      */
-    void setTracer(trace::Tracer *tracer, std::uint32_t track)
+    void setTracer(trace::FlightRecorder *tracer, const EventQueue *clock,
+                   std::uint32_t track)
     {
         tracer_ = tracer;
+        clock_ = clock;
         track_ = track;
     }
 
@@ -167,7 +173,8 @@ class MonitoringSet
     /** banks * ways * rows entries, flattened. */
     std::vector<MonitorEntry> table_;
     unsigned occupancy_ = 0;
-    trace::Tracer *tracer_ = nullptr;
+    trace::FlightRecorder *tracer_ = nullptr;
+    const EventQueue *clock_ = nullptr;
     std::uint32_t track_ = 0;
 };
 

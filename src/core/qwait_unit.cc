@@ -1,5 +1,6 @@
 #include "core/qwait_unit.hh"
 
+#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace hyperplane {
@@ -108,9 +109,10 @@ QwaitUnit::qwaitVerify(QueueId qid, const queueing::Doorbell &doorbell)
     if (doorbell.empty()) {
         monitoring_.arm(doorbell.addr());
         spuriousWakeups.inc();
-        if (HP_TRACE_ON(tracer_)) {
-            tracer_->instant(trace::Stage::SpuriousWake, track_,
-                             tracer_->now(), qid);
+        if (tracer_) {
+            tracer_->stamp(0, trace::Stage::SpuriousWake,
+                           trace::Phase::Instant, track_, clock_->now(),
+                           qid);
         }
         return false;
     }

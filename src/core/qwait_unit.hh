@@ -176,16 +176,19 @@ class QwaitUnit : public mem::Snooper
     }
 
     /**
-     * Attach a tracer under hardware track @p track: forwards to the
-     * monitoring and ready sets and stamps spurious_wake instants when
-     * QWAIT-VERIFY filters an empty grant.
+     * Attach a flight recorder under hardware track @p track, stamping
+     * at @p clock's time: forwards to the monitoring and ready sets and
+     * stamps spurious_wake instants when QWAIT-VERIFY filters an empty
+     * grant.
      */
-    void setTracer(trace::Tracer *tracer, std::uint32_t track)
+    void setTracer(trace::FlightRecorder *tracer, const EventQueue *clock,
+                   std::uint32_t track)
     {
         tracer_ = tracer;
+        clock_ = clock;
         track_ = track;
-        monitoring_.setTracer(tracer, track);
-        readySet_.setTracer(tracer, track);
+        monitoring_.setTracer(tracer, clock, track);
+        readySet_.setTracer(tracer, clock, track);
     }
 
     /** QWAIT instruction latency, cycles. */
@@ -207,7 +210,8 @@ class QwaitUnit : public mem::Snooper
     std::unordered_map<QueueId, Addr> doorbellByQid_;
     std::function<void()> wakeCallback_;
     std::function<void(QueueId)> activationHook_;
-    trace::Tracer *tracer_ = nullptr;
+    trace::FlightRecorder *tracer_ = nullptr;
+    const EventQueue *clock_ = nullptr;
     std::uint32_t track_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "core/ready_set.hh"
 
+#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace hyperplane {
@@ -41,9 +42,9 @@ ReadySet::activate(QueueId qid)
     hp_assert(qid < cfg_.capacity, "qid out of range");
     ready_.set(qid);
     activations.inc();
-    if (HP_TRACE_ON(tracer_)) {
-        tracer_->instant(trace::Stage::ReadyActivate, track_,
-                         tracer_->now(), qid);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::ReadyActivate,
+                       trace::Phase::Instant, track_, clock_->now(), qid);
     }
 }
 
@@ -112,9 +113,10 @@ ReadySet::selectNext()
         --stickyCredit_;
         ready_.clear(stickyQid_);
         grants.inc();
-        if (HP_TRACE_ON(tracer_)) {
-            tracer_->instant(trace::Stage::ReadyGrant, track_,
-                             tracer_->now(), stickyQid_);
+        if (tracer_) {
+            tracer_->stamp(0, trace::Stage::ReadyGrant,
+                           trace::Phase::Instant, track_, clock_->now(),
+                           stickyQid_);
         }
         return stickyQid_;
     }
@@ -130,9 +132,9 @@ ReadySet::selectNext()
     const auto qid = static_cast<QueueId>(grant);
     ready_.clear(qid);
     grants.inc();
-    if (HP_TRACE_ON(tracer_)) {
-        tracer_->instant(trace::Stage::ReadyGrant, track_,
-                         tracer_->now(), qid);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::ReadyGrant, trace::Phase::Instant,
+                       track_, clock_->now(), qid);
     }
 
     switch (cfg_.policy) {

@@ -23,9 +23,12 @@
 #include "core/ppa.hh"
 #include "sim/types.hh"
 #include "stats/sampler.hh"
-#include "trace/trace.hh"
+#include "trace/flight_recorder.hh"
 
 namespace hyperplane {
+
+class EventQueue;
+
 namespace core {
 
 /** Service policies supported by the ready set (Section IV-B). */
@@ -110,12 +113,14 @@ class ReadySet
     void reset();
 
     /**
-     * Attach a tracer: activations stamp ready_activate and grants
-     * stamp ready_grant on @p track.
+     * Attach a flight recorder: activations stamp ready_activate and
+     * grants stamp ready_grant on @p track at @p clock's time.
      */
-    void setTracer(trace::Tracer *tracer, std::uint32_t track)
+    void setTracer(trace::FlightRecorder *tracer, const EventQueue *clock,
+                   std::uint32_t track)
     {
         tracer_ = tracer;
+        clock_ = clock;
         track_ = track;
     }
 
@@ -132,7 +137,8 @@ class ReadySet
     /** WRR sticky state: queue holding priority and remaining credit. */
     QueueId stickyQid_ = invalidQueueId;
     std::uint32_t stickyCredit_ = 0;
-    trace::Tracer *tracer_ = nullptr;
+    trace::FlightRecorder *tracer_ = nullptr;
+    const EventQueue *clock_ = nullptr;
     std::uint32_t track_ = 0;
 };
 

@@ -92,9 +92,9 @@ DataPlaneCore::processItem(const queueing::WorkItem &item)
     chargeActive(total, serviceInstr + params_.notifyInstr, true);
     ++activity_.tasks;
 
-    if (HP_TRACE_ON(tracer_)) {
-        tracer_->instant(trace::Stage::Completion, id_, freeAt_ + total,
-                         item.qid, item.seq);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::Completion, trace::Phase::Instant,
+                       id_, freeAt_ + total, item.qid, item.seq);
     }
     if (completionHook_)
         completionHook_(item, freeAt_ + total);

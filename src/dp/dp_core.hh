@@ -20,7 +20,7 @@
 #include "queueing/task_queue.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "trace/trace.hh"
+#include "trace/flight_recorder.hh"
 #include "workloads/workload.hh"
 
 namespace hyperplane {
@@ -146,8 +146,8 @@ class DataPlaneCore
         completionHook_ = std::move(hook);
     }
 
-    /** Attach a tracer; events stamp on this core's track (= id). */
-    virtual void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
+    /** Attach a recorder; events stamp on this core's track (= id). */
+    virtual void setTracer(trace::FlightRecorder *tracer) { tracer_ = tracer; }
 
     /** Reset activity counters at the measurement boundary. */
     virtual void resetStats() { activity_.clear(); }
@@ -191,7 +191,7 @@ class DataPlaneCore
     Rng rng_;
     std::vector<QueueId> qids_;
     CompletionHook completionHook_;
-    trace::Tracer *tracer_ = nullptr;
+    trace::FlightRecorder *tracer_ = nullptr;
     CoreActivity activity_;
     Tick freeAt_ = 0;
     bool running_ = false;

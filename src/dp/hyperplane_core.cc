@@ -117,9 +117,10 @@ HyperPlaneCore::sweepFallback()
             freeAt_ += dcost;
             if (!item)
                 break;
-            if (HP_TRACE_ON(tracer_)) {
-                tracer_->instant(trace::Stage::FallbackServe, id_,
-                                 freeAt_, qid, item->seq);
+            if (tracer_) {
+                tracer_->stamp(0, trace::Stage::FallbackServe,
+                               trace::Phase::Instant, id_, freeAt_, qid,
+                               item->seq);
             }
             freeAt_ += processItem(*item);
             ++served;
@@ -197,8 +198,10 @@ HyperPlaneCore::wake()
     halted_ = false;
     const Tick now = eq_.now();
     traceHaltEnd(now);
-    if (HP_TRACE_ON(tracer_))
-        tracer_->instant(trace::Stage::Wake, id_, now);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::Wake, trace::Phase::Instant, id_,
+                       now);
+    }
     accountHalt(now);
     ++activity_.wakeups;
     freeAt_ = now + (powerOpt_ ? c1WakeLatency_ : 0);
@@ -219,8 +222,8 @@ HyperPlaneCore::finalize(Tick endTick)
 void
 HyperPlaneCore::traceHaltBegin(Tick t)
 {
-    if (HP_TRACE_ON(tracer_))
-        tracer_->begin(trace::Stage::Halt, id_, t);
+    if (tracer_)
+        tracer_->stamp(0, trace::Stage::Halt, trace::Phase::Begin, id_, t);
 }
 
 void
@@ -228,8 +231,10 @@ HyperPlaneCore::traceHaltEnd(Tick t)
 {
     // A wake event can fire between eq_.now() and the halting step's
     // freeAt_; clamp so the span never closes before it opened.
-    if (HP_TRACE_ON(tracer_))
-        tracer_->end(trace::Stage::Halt, id_, std::max(t, haltStart_));
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::Halt, trace::Phase::End, id_,
+                       std::max(t, haltStart_));
+    }
 }
 
 void
@@ -286,8 +291,10 @@ HyperPlaneCore::step()
     core::QwaitUnit &unit = *grant->second;
 
     // QWAIT returned a grant: the notification has reached software.
-    if (HP_TRACE_ON(tracer_))
-        tracer_->instant(trace::Stage::QwaitReturn, id_, freeAt_, qid);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::QwaitReturn, trace::Phase::Instant,
+                       id_, freeAt_, qid);
+    }
     if (breakdown_ != nullptr)
         breakdown_->onGrant(qid, freeAt_);
 
@@ -301,8 +308,10 @@ HyperPlaneCore::step()
     freeAt_ += vcost;
 
     if (ready) {
-        if (HP_TRACE_ON(tracer_))
-            tracer_->begin(trace::Stage::Service, id_, freeAt_, qid);
+        if (tracer_) {
+            tracer_->stamp(0, trace::Stage::Service, trace::Phase::Begin,
+                           id_, freeAt_, qid);
+        }
         // Dequeue up to batch_ items (step 6).
         std::vector<queueing::WorkItem> items;
         items.reserve(batch_);
@@ -335,8 +344,10 @@ HyperPlaneCore::step()
         for (const auto &item : items)
             freeAt_ += processItem(item);
 
-        if (HP_TRACE_ON(tracer_))
-            tracer_->end(trace::Stage::Service, id_, freeAt_, qid);
+        if (tracer_) {
+            tracer_->stamp(0, trace::Stage::Service, trace::Phase::End,
+                           id_, freeAt_, qid);
+        }
 
         if (inOrder_) {
             // In-order (flow-stateful) mode: RECONSIDER follows

@@ -208,17 +208,17 @@ SdpSystem::build()
     hp_assert(cfg_.numCores % numClusters() == 0,
               "cores must divide evenly into clusters");
 
-    if (trace::kCompiledIn && cfg_.trace.enable) {
-        tracer_ = std::make_unique<trace::Tracer>(
-            cfg_.trace.bufferCapacity);
-        tracer_->setClock([this] { return eq_.now(); });
-        tracer_->setEnabled(true);
+    if (cfg_.trace.enable) {
+        // One shard, every event: the simulator is single-threaded and
+        // traces the whole run.
+        tracer_ = std::make_unique<trace::FlightRecorder>(
+            1, cfg_.trace.bufferCapacity, 1);
         breakdown_ = std::make_unique<trace::LatencyBreakdown>();
     }
 
     mem_ = std::make_unique<mem::MemorySystem>(cfg_.numCores, l1Geom,
                                                llcGeom);
-    mem_->setTracer(tracer_.get());
+    mem_->setTracer(tracer_.get(), &eq_);
     // Stateful app workloads shard by queue id, one shard per queue,
     // as the UDP server does.
     workload_ = makeWorkload(cfg_.workload, cfg_.seed, cfg_.numQueues);
@@ -274,7 +274,7 @@ SdpSystem::build()
             const QueueId hi = c + 1 == clusters
                 ? cfg_.numQueues
                 : lo + queuesPerCluster;
-            unit->setTracer(tracer_.get(),
+            unit->setTracer(tracer_.get(), &eq_,
                             trace::trackHardwareBase + c);
             if (breakdown_) {
                 const Tick lookup =
@@ -548,19 +548,19 @@ SdpSystem::interposeSnoop(Addr line, CoreId writer, mem::Snooper *target)
         } else {
             faults_->harmlessDrops.inc();
         }
-        if (HP_TRACE_ON(tracer_.get())) {
-            tracer_->instant(trace::Stage::SnoopDropped,
-                             trace::trackDevice, eq_.now(),
-                             e != nullptr ? e->qid : invalidQueueId,
-                             line);
+        if (tracer_) {
+            tracer_->stamp(0, trace::Stage::SnoopDropped,
+                           trace::Phase::Instant, trace::trackDevice,
+                           eq_.now(),
+                           e != nullptr ? e->qid : invalidQueueId, line);
         }
         return true; // swallowed
     }
     if (const auto delay = faults_->rollDelaySnoop()) {
-        if (HP_TRACE_ON(tracer_.get())) {
-            tracer_->instant(trace::Stage::SnoopDelayed,
-                             trace::trackDevice, eq_.now(),
-                             invalidQueueId, line);
+        if (tracer_) {
+            tracer_->stamp(0, trace::Stage::SnoopDelayed,
+                           trace::Phase::Instant, trace::trackDevice,
+                           eq_.now(), invalidQueueId, line);
         }
         eq_.scheduleIn(*delay, [this, line, writer, target] {
             deliverSnoop(target, line, writer);
@@ -649,9 +649,9 @@ SdpSystem::onArrival(QueueId qid, const queueing::WorkItem &item)
     // that carries a fresh notification.
     if (breakdown_ && queues_[qid].depth() == 1)
         breakdown_->onDoorbell(qid, item.seq, item.arrivalTick);
-    if (HP_TRACE_ON(tracer_.get())) {
-        tracer_->instant(trace::Stage::DoorbellWrite, trace::trackDevice,
-                         item.arrivalTick, qid, item.seq);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::DoorbellWrite, trace::Phase::Instant,
+                       trace::trackDevice, item.arrivalTick, qid, item.seq);
     }
     const unsigned c = clusterOf(qid);
     ++clusterBacklogs_[c];
@@ -988,11 +988,8 @@ SdpSystem::dumpStats(std::ostream &os) const
 void
 SdpSystem::writeChromeTrace(std::ostream &os) const
 {
-    if (tracer_) {
-        trace::writeChromeTrace(os, *tracer_);
-    } else {
-        os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}\n";
-    }
+    trace::writeChromeTrace(
+        os, tracer_ ? tracer_->snapshot() : std::vector<trace::TraceEvent>{});
 }
 
 SdpResults

@@ -33,7 +33,7 @@
 #include "stats/registry.hh"
 #include "trace/latency_breakdown.hh"
 #include "trace/timeseries.hh"
-#include "trace/trace.hh"
+#include "trace/flight_recorder.hh"
 #include "trace/trace_config.hh"
 #include "traffic/poisson_source.hh"
 #include "traffic/shapes.hh"
@@ -264,9 +264,8 @@ class SdpSystem
     /** Per-queue weights after shape + imbalance application. */
     const std::vector<double> &weights() const { return weights_; }
 
-    /** The event tracer (null unless config().trace.enable and the
-     *  subsystem is compiled in). */
-    trace::Tracer *tracer() { return tracer_.get(); }
+    /** The flight recorder (null unless config().trace.enable). */
+    trace::FlightRecorder *tracer() { return tracer_.get(); }
 
     /** The per-stage latency breakdown (null when not tracing). */
     trace::LatencyBreakdown *breakdown() { return breakdown_.get(); }
@@ -329,7 +328,7 @@ class SdpSystem
     /** One fallback set per cluster (entries null w/o degradation). */
     std::vector<std::unique_ptr<fault::FallbackSet>> fallbacks_;
     std::unique_ptr<fault::Watchdog> watchdog_;
-    std::unique_ptr<trace::Tracer> tracer_;
+    std::unique_ptr<trace::FlightRecorder> tracer_;
     std::unique_ptr<trace::LatencyBreakdown> breakdown_;
     std::unique_ptr<trace::RegistrySampler> sampler_;
     stats::Registry registry_;

@@ -10,7 +10,8 @@ EmuHyperPlane::EmuHyperPlane(unsigned maxQueues,
     : ready_(core::ReadySetConfig{maxQueues, policy,
                                   core::ArbiterKind::BrentKung, 1}),
       doorbells_(maxQueues, 0), ringCalls_(maxQueues, 0),
-      registered_(maxQueues, false), muted_(maxQueues, false)
+      ringedItems_(maxQueues, 0), registered_(maxQueues, false),
+      muted_(maxQueues, false)
 {
     hp_assert(maxQueues > 0, "need at least one queue slot");
 }
@@ -74,6 +75,7 @@ EmuHyperPlane::ring(QueueId qid, std::uint64_t n, Wake wake)
     hp_assert(registered_[qid], "ring on unregistered queue");
     doorbells_[qid] += n;
     ++ringCalls_[qid];
+    ringedItems_[qid] += n;
     // Storm containment: a muted queue keeps its accounting (the items
     // stay advertised) but the notification side is severed — only the
     // watchdog's pollActivate() sweep moves it forward.
@@ -138,6 +140,14 @@ EmuHyperPlane::ringCalls(QueueId qid) const
     std::lock_guard<std::mutex> lock(m_);
     hp_assert(qid < ringCalls_.size(), "qid out of range");
     return ringCalls_[qid];
+}
+
+std::uint64_t
+EmuHyperPlane::ringedItems(QueueId qid) const
+{
+    std::lock_guard<std::mutex> lock(m_);
+    hp_assert(qid < ringedItems_.size(), "qid out of range");
+    return ringedItems_[qid];
 }
 
 std::uint64_t

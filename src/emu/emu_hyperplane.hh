@@ -169,6 +169,14 @@ class EmuHyperPlane
      */
     std::uint64_t ringCalls(QueueId qid) const;
 
+    /**
+     * Monotonic count of items ever advertised on @p qid: the sum of
+     * every ring()'s item count, muted rings included.  Consumers never
+     * move it, so the server's lost-ring audit diffs it against the
+     * queue's total pushes.
+     */
+    std::uint64_t ringedItems(QueueId qid) const;
+
     /** ring() calls swallowed while their queue was muted. */
     std::uint64_t mutedRings() const;
 
@@ -221,6 +229,7 @@ class EmuHyperPlane
     core::ReadySet ready_;
     std::vector<std::uint64_t> doorbells_;
     std::vector<std::uint64_t> ringCalls_;
+    std::vector<std::uint64_t> ringedItems_;
     std::vector<bool> registered_;
     std::vector<bool> muted_;
     unsigned numRegistered_ = 0;

@@ -46,9 +46,10 @@ void
 Watchdog::sweepOnce()
 {
     sweeps.inc();
-    if (HP_TRACE_ON(tracer_)) {
-        tracer_->instant(trace::Stage::WatchdogSweep,
-                         trace::trackWatchdog, tracer_->now());
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::WatchdogSweep,
+                       trace::Phase::Instant, trace::trackWatchdog,
+                       eq_.now());
     }
     for (auto &c : clusters_)
         sweepCluster(c);
@@ -68,10 +69,10 @@ Watchdog::sweepCluster(WatchdogCluster &c)
                 continue; // software-polled; cannot lose notifications
             if (!c.unit->watchdogVerify(qid, queues_[qid].doorbell()))
                 continue;
-            if (HP_TRACE_ON(tracer_)) {
-                tracer_->instant(trace::Stage::WatchdogRecovery,
-                                 trace::trackWatchdog, tracer_->now(),
-                                 qid);
+            if (tracer_) {
+                tracer_->stamp(0, trace::Stage::WatchdogRecovery,
+                               trace::Phase::Instant, trace::trackWatchdog,
+                               eq_.now(), qid);
             }
             if (injector_ == nullptr ||
                 injector_->recordWatchdogRecovery(qid)) {
@@ -89,10 +90,10 @@ Watchdog::sweepCluster(WatchdogCluster &c)
                 c.fallback->add(qid);
                 runtimeDemotions.inc();
                 recoveryCount_.erase(qid);
-                if (HP_TRACE_ON(tracer_)) {
-                    tracer_->instant(trace::Stage::Demotion,
-                                     trace::trackWatchdog,
-                                     tracer_->now(), qid);
+                if (tracer_) {
+                    tracer_->stamp(0, trace::Stage::Demotion,
+                                   trace::Phase::Instant,
+                                   trace::trackWatchdog, eq_.now(), qid);
                 }
             }
         }
@@ -110,10 +111,10 @@ Watchdog::sweepCluster(WatchdogCluster &c)
             }
             c.fallback->remove(qid);
             promotions.inc();
-            if (HP_TRACE_ON(tracer_)) {
-                tracer_->instant(trace::Stage::Promotion,
-                                 trace::trackWatchdog, tracer_->now(),
-                                 qid);
+            if (tracer_) {
+                tracer_->stamp(0, trace::Stage::Promotion,
+                               trace::Phase::Instant, trace::trackWatchdog,
+                               eq_.now(), qid);
             }
             // Items enqueued while demoted predate the fresh armed
             // entry; audit once so they are not orphaned.
@@ -128,9 +129,10 @@ Watchdog::sweepCluster(WatchdogCluster &c)
     if (c.unit->readySet().anyReady() && c.deliverWake &&
         c.deliverWake()) {
         wakeRefires.inc();
-        if (HP_TRACE_ON(tracer_)) {
-            tracer_->instant(trace::Stage::WakeRefire,
-                             trace::trackWatchdog, tracer_->now());
+        if (tracer_) {
+            tracer_->stamp(0, trace::Stage::WakeRefire,
+                           trace::Phase::Instant, trace::trackWatchdog,
+                           eq_.now());
         }
     }
 }

@@ -29,7 +29,7 @@
 #include "queueing/task_queue.hh"
 #include "sim/event_queue.hh"
 #include "stats/sampler.hh"
-#include "trace/trace.hh"
+#include "trace/flight_recorder.hh"
 
 namespace hyperplane {
 namespace fault {
@@ -70,8 +70,8 @@ class Watchdog
     /** Run one sweep immediately (tests, end-of-run audits). */
     void sweepOnce();
 
-    /** Attach a tracer; events stamp on the watchdog track. */
-    void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
+    /** Attach a flight recorder; events stamp on the watchdog track. */
+    void setTracer(trace::FlightRecorder *tracer) { tracer_ = tracer; }
 
     stats::Counter sweeps{"watchdog_sweeps"};
     /** Lost-ledger queues rescued by a sweep. */
@@ -95,7 +95,7 @@ class Watchdog
     RecoveryConfig cfg_;
     Tick periodTicks_;
     bool running_ = false;
-    trace::Tracer *tracer_ = nullptr;
+    trace::FlightRecorder *tracer_ = nullptr;
     /** Watchdog recoveries per queue (runtime-demotion threshold). */
     std::unordered_map<QueueId, unsigned> recoveryCount_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace hyperplane {
@@ -311,9 +312,10 @@ void
 MemorySystem::deliverSnoop(const WatchedRange &w, Addr line, CoreId writer)
 {
     snoopHits.inc();
-    if (HP_TRACE_ON(tracer_)) {
-        tracer_->instant(trace::Stage::SnoopDeliver, trace::trackDevice,
-                         tracer_->now(), invalidQueueId, line);
+    if (tracer_) {
+        tracer_->stamp(0, trace::Stage::SnoopDeliver, trace::Phase::Instant,
+                       trace::trackDevice, clock_->now(), invalidQueueId,
+                       line);
     }
     if (interposer_ && interposer_(line, writer, w.snooper))
         return; // interposer owns delivery (fault injection)

@@ -40,9 +40,12 @@
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "stats/sampler.hh"
-#include "trace/trace.hh"
+#include "trace/flight_recorder.hh"
 
 namespace hyperplane {
+
+class EventQueue;
+
 namespace mem {
 
 /** Where an access was ultimately serviced. */
@@ -165,10 +168,14 @@ class MemorySystem
     }
 
     /**
-     * Attach a tracer: every snoop delivery in a watched range stamps a
-     * snoop_deliver instant (null detaches).
+     * Attach a flight recorder: every snoop delivery in a watched range
+     * stamps a snoop_deliver instant at @p clock's time (null detaches).
      */
-    void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
+    void setTracer(trace::FlightRecorder *tracer, const EventQueue *clock)
+    {
+        tracer_ = tracer;
+        clock_ = clock;
+    }
 
     unsigned numCores() const { return static_cast<unsigned>(l1s_.size()); }
 
@@ -648,7 +655,8 @@ class MemorySystem
     bool watchesOverlap_ = false;
     DirectoryIndex dir_;
     SnoopInterposer interposer_;
-    trace::Tracer *tracer_ = nullptr;
+    trace::FlightRecorder *tracer_ = nullptr;
+    const EventQueue *clock_ = nullptr;
 };
 
 } // namespace mem

@@ -263,15 +263,13 @@ UdpServer::start()
     } else {
         stageLat_.reset();
     }
-    // Stage-histogram decimation period, rounded down to a power of
-    // two so the hot-path sample test is (seq & mask) == 0.
-    std::uint64_t period = 1;
-    while (period * 2 <= std::max<std::uint64_t>(1, tcfg.stageSampleEvery))
-        period *= 2;
-    stageSampleMask_ = period - 1;
-    flight_ = std::make_unique<telemetry::FlightRecorder>(
+    // One sampling period for flight stamps and stage-histogram
+    // samples; the recorder rounds it down to a power of two, so the
+    // hot-path test is one AND.  Disabled telemetry samples nothing.
+    flight_ = std::make_unique<trace::FlightRecorder>(
         numTelemetryShards(), tcfg.recorderCapacity,
-        tcfg.enabled ? tcfg.sampleEvery : 0);
+        tcfg.enabled ? std::max<std::uint64_t>(1, tcfg.stageSampleEvery)
+                     : 0);
     tenantShedPrev_.assign(tenants_->numTenants(), 0);
     tenantShedActive_.assign(tenants_->numTenants(), 0);
     shedPrevSweep_ = 0;
@@ -450,7 +448,7 @@ UdpServer::rxLoop(unsigned index)
     Lane &lane = lanes_[shard];
     CounterShards &counters = *counters_;
     telemetry::StageLatencyShards *lat = stageLat_.get();
-    telemetry::FlightRecorder &flight = *flight_;
+    trace::FlightRecorder &flight = *flight_;
     // Last admission timestamp per queue this batch, for the
     // admit->doorbell stage sample taken at ring time.  (For requests
     // skipped by stage decimation this is the batch rx timestamp —
@@ -561,16 +559,14 @@ UdpServer::rxLoop(unsigned index)
                     verdict = wire::statusShed;
                     why = Counter::ShedWatermark;
                 }
-                // Stage sampling is decimated on the sequence number
-                // (same trick as the flight recorder), so the extra
-                // clock read and the histogram insert are paid for
-                // 1-in-stageSampleEvery requests; the rest reuse the
-                // batch rx timestamp.
-                const bool stageSampled =
-                    lat && (hdr->seq & stageSampleMask_) == 0;
-                const std::uint64_t admitNs =
-                    stageSampled ? nowNs() : rxNs;
-                if (stageSampled) {
+                // Sampling is decimated on the sequence number, so the
+                // extra clock read, the histogram insert and the flight
+                // stamp are paid for 1-in-stageSampleEvery requests;
+                // the rest reuse the batch rx timestamp.  (A sampled
+                // request implies telemetry on, so lat is live.)
+                const bool sampled = flight.sampled(hdr->seq);
+                const std::uint64_t admitNs = sampled ? nowNs() : rxNs;
+                if (sampled) {
                     lat->record(
                         shard, telemetry::ServerStage::RxAdmit, tenant,
                         static_cast<double>(admitNs - rxNs));
@@ -613,7 +609,7 @@ UdpServer::rxLoop(unsigned index)
                 counters.add(shard, tenant, Counter::Admitted);
                 if (counts[qid]++ == 0)
                     touched.push_back(qid);
-                if (flight.sampled(hdr->seq)) {
+                if (sampled) {
                     flight.stamp(
                         shard, trace::Stage::DoorbellWrite,
                         trace::Phase::Instant, lane.track,
@@ -754,7 +750,7 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
     const unsigned shard = lane.shard;
     const std::uint32_t track = lane.track;
     telemetry::StageLatencyShards *lat = stageLat_.get();
-    telemetry::FlightRecorder &flight = *flight_;
+    trace::FlightRecorder &flight = *flight_;
 
     std::vector<Request> &reqs = lane.reqs;
     // The doorbell can over-advertise (watchdog replays, drain races);
@@ -777,16 +773,12 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
         // Same decimation as RX: a sequence number that sampled there
         // samples here too, so per-request spans stay coherent across
         // stages.
-        const bool stageSampled =
-            lat && (req.hdr.seq & stageSampleMask_) == 0;
-        if (stageSampled) {
+        const bool sampled = flight.sampled(req.hdr.seq);
+        if (sampled) {
             lat->record(
                 shard, telemetry::ServerStage::QwaitService,
                 req.tenant,
                 static_cast<double>(grantNs - req.admitNs));
-        }
-        const bool sampledReq = flight.sampled(req.hdr.seq);
-        if (sampledReq) {
             flight.stamp(shard, trace::Stage::Service,
                          trace::Phase::Begin, track, nowTicks(), qid,
                          req.hdr.seq);
@@ -796,8 +788,8 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
         resp.tenant = req.tenant;
         // doneNs == 0 tells sendReplies to skip the service->tx and e2e
         // samples, so decimated requests pay no clock read here.
-        resp.doneNs = stageSampled ? nowNs() : 0;
-        if (sampledReq) {
+        resp.doneNs = sampled ? nowNs() : 0;
+        if (sampled) {
             flight.stamp(shard, trace::Stage::Service,
                          trace::Phase::End, track, nowTicks(), qid,
                          req.hdr.seq);
@@ -920,7 +912,7 @@ UdpServer::sendReplies(Lane &lane)
         return;
     const unsigned shard = lane.shard;
     telemetry::StageLatencyShards *lat = stageLat_.get();
-    telemetry::FlightRecorder &flight = *flight_;
+    trace::FlightRecorder &flight = *flight_;
 
     // sendmmsg gathers straight from the pool frames; the frames go
     // back to their pools when `out` is cleared below.
@@ -974,7 +966,7 @@ UdpServer::watchdogLoop()
                                cfg_.fault.watchdogPeriodUs)));
     const unsigned shard = watchdogShard();
     CounterShards &counters = *counters_;
-    telemetry::FlightRecorder &flight = *flight_;
+    trace::FlightRecorder &flight = *flight_;
     // No per-sweep WatchdogSweep stamp: at one per period it would
     // evict the incident events this ring exists to keep.
     const auto fstamp = [&](trace::Stage st, QueueId qid,
@@ -1061,21 +1053,20 @@ UdpServer::watchdogLoop()
                 deficitPrev_[qid] = 0;
                 continue;
             }
-            // Read the doorbell before the depth counters: a take
-            // between the reads then under-counts the deficit (safe)
-            // instead of inventing one.
-            const std::uint64_t adv = hpDev_->pendingItems(qid);
-            const std::uint64_t popped = reqQueues_[qid]->totalPopped();
+            // The deficit is items pushed minus items ever advertised:
+            // two monotone producer-side totals, so no consumer
+            // (take() lowering the doorbell, popBatch() raising the
+            // pop count) can fake one.  Pushes are read first: a
+            // push + ring between the reads then under-counts (safe).
             const std::uint64_t pushed = reqQueues_[qid]->totalPushed();
+            const std::uint64_t adv = hpDev_->ringedItems(qid);
             if (rxInFlight_[qid].load(std::memory_order_acquire) != 0 ||
                 rxEpoch_[qid].load(std::memory_order_acquire) !=
                     epoch0) {
                 deficitPrev_[qid] = 0;
                 continue;
             }
-            const std::uint64_t depth =
-                pushed > popped ? pushed - popped : 0;
-            const std::uint64_t deficit = depth > adv ? depth - adv : 0;
+            const std::uint64_t deficit = pushed > adv ? pushed - adv : 0;
 
             if (fallback_.contains(qid)) {
                 // Demoted: polled mode.  Re-advertise any deficit every

@@ -37,13 +37,14 @@
  * Instrumentation is one substrate.  Every count is one add into a
  * single-writer cell of telemetry::CounterShards (shard x tenant x
  * counter), and every event is stamped once, into the sampled
- * telemetry::FlightRecorder: DoorbellWrite and AdmissionShed (RX),
+ * trace::FlightRecorder: DoorbellWrite and AdmissionShed (RX),
  * QwaitReturn (grant), Service spans and Completion (the serving
  * thread), SnoopDropped (an injected ring drop), plus the watchdog
- * events.  telemetry.sampleEvery = 1 traces every request, and
- * flightTraceJson() renders the rings for Perfetto.  Ticks are
- * nsToTicks(ns since start), so exported microseconds are wall-clock
- * microseconds.
+ * events.  One period, telemetry.stageSampleEvery, picks the requests
+ * that get both flight stamps and stage-histogram samples; 1 traces
+ * every request, and flightTraceJson() renders the rings for Perfetto.
+ * Ticks are nsToTicks(ns since start), so exported microseconds are
+ * wall-clock microseconds.
  */
 
 #ifndef HYPERPLANE_SERVER_SERVER_HH
@@ -70,11 +71,10 @@
 #include "stats/registry.hh"
 #include "stats/sampler.hh"
 #include "telemetry/event_log.hh"
-#include "telemetry/flight_recorder.hh"
 #include "telemetry/metrics_server.hh"
 #include "telemetry/shard_stats.hh"
 #include "telemetry/telemetry_config.hh"
-#include "trace/trace.hh"
+#include "trace/flight_recorder.hh"
 #include "app/app.hh"
 #include "workloads/packet_steering.hh"
 
@@ -326,7 +326,7 @@ class UdpServer
     const telemetry::EventLog &eventLog() const { return eventLog_; }
 
     /** Sampled trace rings (null before start()). */
-    const telemetry::FlightRecorder *flightRecorder() const
+    const trace::FlightRecorder *flightRecorder() const
     {
         return flight_.get();
     }
@@ -512,11 +512,9 @@ class UdpServer
     // ----- telemetry state --------------------------------------------
     std::unique_ptr<telemetry::CounterShards> counters_;
     std::unique_ptr<telemetry::StageLatencyShards> stageLat_;
-    /// Decimation mask for per-request stage sampling: a request
-    /// contributes latency samples iff (seq & mask) == 0 (see
-    /// TelemetryConfig::stageSampleEvery).
-    std::uint64_t stageSampleMask_ = 0;
-    std::unique_ptr<telemetry::FlightRecorder> flight_;
+    /// Trace rings; flight_->sampled(seq) also decides the per-request
+    /// stage-histogram samples (TelemetryConfig::stageSampleEvery).
+    std::unique_ptr<trace::FlightRecorder> flight_;
     telemetry::EventLog eventLog_;
     std::unique_ptr<telemetry::MetricsServer> metrics_;
     /** Registry backing the endpoint (populated in start()). */

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "net/simd/dispatch.hh"
-#include "trace/trace.hh"
 
 // CMake passes these as compile definitions on the hp_telemetry
 // target; the fallbacks keep non-CMake builds (and IDE parses)
@@ -55,7 +54,6 @@ buildInfo()
 #else
         "unknown",
 #endif
-        trace::kCompiledIn,
         cpuFeatureList(),
         k.checksumName,
         k.crc32cName,

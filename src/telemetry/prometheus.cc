@@ -78,8 +78,7 @@ prometheusText(const stats::Registry &reg, double uptimeSec)
           "hyperplane_build_info{git_sha=\""
        << escapeLabelValue(bi.gitSha) << "\",build_type=\""
        << escapeLabelValue(bi.buildType) << "\",compiler=\""
-       << escapeLabelValue(bi.compiler) << "\",trace_compiled_in=\""
-       << (bi.traceCompiledIn ? "1" : "0") << "\",cpu_features=\""
+       << escapeLabelValue(bi.compiler) << "\",cpu_features=\""
        << escapeLabelValue(bi.cpuFeatures) << "\",simd_checksum=\""
        << escapeLabelValue(bi.simdChecksum) << "\",simd_crc32c=\""
        << escapeLabelValue(bi.simdCrc32c) << "\",simd_header_check=\""

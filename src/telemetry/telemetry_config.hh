@@ -6,7 +6,8 @@
  * production costs under 5% of peak throughput (bench/
  * ext_telemetry_overhead gates this).  The knobs below trade fidelity
  * for memory: per-stage histograms are per-shard and per-tenant, and
- * the flight recorder keeps a fixed ring per shard.
+ * the flight recorder keeps a fixed ring per shard.  One sampling
+ * period (stageSampleEvery) picks the requests both of them see.
  */
 
 #ifndef HYPERPLANE_TELEMETRY_TELEMETRY_CONFIG_HH
@@ -28,27 +29,21 @@ struct TelemetryConfig
      */
     bool enabled = true;
 
-    /**
-     * Flight-recorder sampling period: request sequence numbers with
-     * seq % sampleEvery == 0 are traced through every stage, so a
-     * sampled request always yields a complete span chain.  0 disables
-     * the recorder while keeping counters and histograms live.
-     */
-    std::uint64_t sampleEvery = 64;
-
     /** Flight-recorder ring capacity, events per shard. */
     std::size_t recorderCapacity = 4096;
 
     /**
-     * Stage-histogram decimation: requests whose sequence number is a
-     * multiple of this (rounded down to a power of two, so the test is
-     * one AND + branch) contribute per-stage latency samples; the rest
-     * skip the clock reads and histogram updates entirely.  1 records
-     * every request.  Decimation is deterministic on the sequence
-     * number, so a sampled request is sampled at *every* stage and the
-     * per-stage quantiles stay mutually comparable.  At the rates
-     * where the cost matters (100k+ req/s) the default still feeds
-     * each stage thousands of samples per second.
+     * The one per-request sampling period: requests whose sequence
+     * number is a multiple of this (rounded down to a power of two, so
+     * the test is one AND + branch; 0 counts as 1) get flight-recorder
+     * stamps and per-stage latency samples; the rest skip the clock
+     * reads, stamps and histogram updates entirely.  1 traces every
+     * request.  Sampling is deterministic on the sequence number, so a
+     * sampled request is sampled at *every* stage: it exports as a
+     * complete span chain and the per-stage quantiles stay mutually
+     * comparable.  At the rates where the cost matters (100k+ req/s)
+     * the default still feeds each stage thousands of samples per
+     * second.
      */
     std::uint64_t stageSampleEvery = 32;
 

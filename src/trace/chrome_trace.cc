@@ -79,12 +79,6 @@ writeChromeTrace(std::ostream &os, const std::vector<TraceEvent> &events)
     os << "\n]}\n";
 }
 
-void
-writeChromeTrace(std::ostream &os, const Tracer &tracer)
-{
-    writeChromeTrace(os, tracer.snapshot());
-}
-
 std::string
 chromeTraceJson(const std::vector<TraceEvent> &events)
 {

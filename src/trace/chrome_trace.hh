@@ -2,12 +2,12 @@
  * @file
  * Chrome trace-event JSON exporter.
  *
- * Serializes a Tracer's buffer into the Trace Event Format understood
- * by chrome://tracing and ui.perfetto.dev: one JSON object with a
- * "traceEvents" array of instant ("i") and duration begin/end
- * ("B"/"E") events, timestamps in (fractional) microseconds, plus
- * thread_name metadata so tracks render as "core0", "hw0", "device",
- * "watchdog".
+ * Serializes trace events (a FlightRecorder snapshot) into the Trace
+ * Event Format understood by chrome://tracing and ui.perfetto.dev: one
+ * JSON object with a "traceEvents" array of instant ("i") and duration
+ * begin/end ("B"/"E") events, timestamps in (fractional) microseconds,
+ * plus thread_name metadata so tracks render as "core0", "hw0",
+ * "device", "watchdog".
  */
 
 #ifndef HYPERPLANE_TRACE_CHROME_TRACE_HH
@@ -25,9 +25,6 @@ namespace trace {
 /** Write the events as a complete Chrome trace JSON document. */
 void writeChromeTrace(std::ostream &os,
                       const std::vector<TraceEvent> &events);
-
-/** Convenience: export a tracer's current buffer. */
-void writeChromeTrace(std::ostream &os, const Tracer &tracer);
 
 /** Same document as a string (tests, small traces). */
 std::string chromeTraceJson(const std::vector<TraceEvent> &events);

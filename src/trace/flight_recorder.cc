@@ -1,15 +1,15 @@
-#include "telemetry/flight_recorder.hh"
+#include "trace/flight_recorder.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace hyperplane {
-namespace telemetry {
+namespace trace {
 
 FlightRecorder::FlightRecorder(unsigned shards, std::size_t capacity,
                                std::uint64_t sampleEvery)
-    : every_(sampleEvery),
-      pow2_(sampleEvery != 0 && (sampleEvery & (sampleEvery - 1)) == 0),
-      cap_(std::max<std::size_t>(2, capacity))
+    : every_(std::bit_floor(sampleEvery)),
+      cap_(std::max<std::size_t>(1, capacity))
 {
     for (unsigned i = 0; i < std::max(1u, shards); ++i) {
         shards_.emplace_back();
@@ -18,8 +18,8 @@ FlightRecorder::FlightRecorder(unsigned shards, std::size_t capacity,
 }
 
 void
-FlightRecorder::stamp(unsigned shard, trace::Stage stage,
-                      trace::Phase phase, std::uint32_t track, Tick ts,
+FlightRecorder::stamp(unsigned shard, Stage stage, Phase phase,
+                      std::uint32_t track, Tick ts,
                       QueueId qid, std::uint64_t arg)
 {
     if (every_ == 0)
@@ -54,10 +54,21 @@ FlightRecorder::recorded() const
     return sum;
 }
 
-std::vector<trace::TraceEvent>
+std::uint64_t
+FlightRecorder::dropped() const
+{
+    std::uint64_t sum = 0;
+    for (const auto &sh : shards_) {
+        const std::uint64_t n = sh.next.load(std::memory_order_relaxed);
+        sum += n > cap_ ? n - cap_ : 0;
+    }
+    return sum;
+}
+
+std::vector<TraceEvent>
 FlightRecorder::snapshot() const
 {
-    std::vector<trace::TraceEvent> out;
+    std::vector<TraceEvent> out;
     for (const auto &sh : shards_) {
         const std::uint64_t next =
             sh.next.load(std::memory_order_acquire);
@@ -68,7 +79,7 @@ FlightRecorder::snapshot() const
                 s.seq.load(std::memory_order_acquire);
             if (seq1 & 1)
                 continue; // writer inside
-            trace::TraceEvent e;
+            TraceEvent e;
             e.ts = s.ts.load(std::memory_order_relaxed);
             e.arg = s.arg.load(std::memory_order_relaxed);
             const std::uint64_t qt =
@@ -77,8 +88,8 @@ FlightRecorder::snapshot() const
             e.track = static_cast<std::uint32_t>(qt);
             const std::uint64_t sp =
                 s.stagePhase.load(std::memory_order_relaxed);
-            e.stage = static_cast<trace::Stage>(sp >> 8);
-            e.phase = static_cast<trace::Phase>(sp & 0xFF);
+            e.stage = static_cast<Stage>(sp >> 8);
+            e.phase = static_cast<Phase>(sp & 0xFF);
             std::atomic_thread_fence(std::memory_order_acquire);
             if (s.seq.load(std::memory_order_relaxed) != seq1)
                 continue; // torn: writer lapped us mid-copy
@@ -86,12 +97,11 @@ FlightRecorder::snapshot() const
         }
     }
     std::stable_sort(out.begin(), out.end(),
-                     [](const trace::TraceEvent &a,
-                        const trace::TraceEvent &b) {
+                     [](const TraceEvent &a, const TraceEvent &b) {
                          return a.ts < b.ts;
                      });
     return out;
 }
 
-} // namespace telemetry
+} // namespace trace
 } // namespace hyperplane

@@ -1,23 +1,27 @@
 /**
  * @file
- * Always-on sampled flight recorder.
+ * The one trace ring: per-shard lock-free rings of packed TraceEvents.
  *
- * Per-shard lock-free rings of packed trace events, cheap enough to
- * leave on in production: sampling is a deterministic modulus on the
- * request sequence number (seq % sampleEvery == 0), so a sampled
- * request receives *all* of its stage stamps and exports as a complete
- * span chain, while 1-in-N sampling keeps the stamp rate low.
+ * Both front ends stamp it.  The simulator builds one shard that
+ * records every event (SdpConfig::trace.enable); the UDP server builds
+ * one shard per stamping thread (RX lane, worker, watchdog) and traces
+ * 1-in-N requests.  Sampling is deterministic on the request sequence
+ * number (seq & (period - 1) == 0, the period rounded down to a power
+ * of two), so a sampled request receives *all* of its stage stamps and
+ * exports as a complete span chain, while a large period keeps the
+ * stamp rate low.
  *
- * Each shard (RX thread, worker, watchdog) is the single
- * writer of its own ring; stamp() is a handful of relaxed atomic
- * stores guarded by a per-slot seqlock.  snapshot() may run from any
+ * Each shard is the single writer of its own ring; stamp() is a
+ * handful of relaxed atomic stores guarded by a per-slot seqlock.
+ * Overflow overwrites the oldest slot, so a long run keeps its tail
+ * (dropped() counts the casualties).  snapshot() may run from any
  * thread at any time — including from a signal-triggered dump while
  * the server is under load — and simply discards slots it catches
  * mid-write.
  */
 
-#ifndef HYPERPLANE_TELEMETRY_FLIGHT_RECORDER_HH
-#define HYPERPLANE_TELEMETRY_FLIGHT_RECORDER_HH
+#ifndef HYPERPLANE_TRACE_FLIGHT_RECORDER_HH
+#define HYPERPLANE_TRACE_FLIGHT_RECORDER_HH
 
 #include <atomic>
 #include <cstdint>
@@ -28,16 +32,16 @@
 #include "trace/trace.hh"
 
 namespace hyperplane {
-namespace telemetry {
+namespace trace {
 
 class FlightRecorder
 {
   public:
     /**
-     * @param shards     number of single-writer rings
-     * @param capacity   events per ring (rounded up to >= 2)
-     * @param sampleEvery trace requests with seq % sampleEvery == 0;
-     *                    0 disables stamping entirely
+     * @param shards      number of single-writer rings
+     * @param capacity    events per ring (0 counts as 1)
+     * @param sampleEvery sampling period, rounded down to a power of
+     *                    two; 0 disables stamping entirely
      */
     FlightRecorder(unsigned shards, std::size_t capacity,
                    std::uint64_t sampleEvery);
@@ -46,6 +50,7 @@ class FlightRecorder
     FlightRecorder &operator=(const FlightRecorder &) = delete;
 
     bool enabled() const { return every_ != 0; }
+    /** The sampling period in force (a power of two, or 0). */
     std::uint64_t sampleEvery() const { return every_; }
     unsigned numShards() const
     {
@@ -56,27 +61,25 @@ class FlightRecorder
     /** True when request @p seq should be traced end to end. */
     bool sampled(std::uint64_t seq) const
     {
-        // Power-of-two periods (the default) take the AND path — this
-        // runs a few times per request on the data path, and a modulus
-        // by a runtime divisor is a hardware divide.
-        if (every_ == 0)
-            return false;
-        return pow2_ ? (seq & (every_ - 1)) == 0 : seq % every_ == 0;
+        return every_ != 0 && (seq & (every_ - 1)) == 0;
     }
 
     /** Stamp an event from shard @p shard's owning thread. */
-    void stamp(unsigned shard, trace::Stage stage, trace::Phase phase,
+    void stamp(unsigned shard, Stage stage, Phase phase,
                std::uint32_t track, Tick ts,
                QueueId qid = invalidQueueId, std::uint64_t arg = 0);
 
     /** Total events ever stamped (all shards). */
     std::uint64_t recorded() const;
 
+    /** Events overwritten by ring wrap (all shards). */
+    std::uint64_t dropped() const;
+
     /**
-     * Merged copy of every ring, sorted by timestamp.  Slots caught
-     * mid-write are dropped (at most one per shard per call).
+     * Merged copy of every ring, stable-sorted by timestamp.  Slots
+     * caught mid-write are dropped (at most one per shard per call).
      */
-    std::vector<trace::TraceEvent> snapshot() const;
+    std::vector<TraceEvent> snapshot() const;
 
   private:
     struct Slot
@@ -97,12 +100,11 @@ class FlightRecorder
     };
 
     std::uint64_t every_;
-    bool pow2_; ///< every_ is a power of two: sample with a mask
     std::size_t cap_;
     std::deque<Shard> shards_;
 };
 
-} // namespace telemetry
+} // namespace trace
 } // namespace hyperplane
 
-#endif // HYPERPLANE_TELEMETRY_FLIGHT_RECORDER_HH
+#endif // HYPERPLANE_TRACE_FLIGHT_RECORDER_HH

@@ -1,9 +1,5 @@
 #include "trace/trace.hh"
 
-#include <algorithm>
-
-#include "sim/logging.hh"
-
 namespace hyperplane {
 namespace trace {
 
@@ -67,50 +63,6 @@ trackName(std::uint32_t track)
     if (track >= trackHardwareBase)
         return "hw" + std::to_string(track - trackHardwareBase);
     return "core" + std::to_string(track);
-}
-
-Tracer::Tracer(std::size_t capacity)
-    : buf_(std::max<std::size_t>(1, capacity))
-{
-}
-
-void
-Tracer::push(const TraceEvent &e)
-{
-    if (!enabled())
-        return;
-    std::lock_guard<std::mutex> lock(m_);
-    ++recorded_;
-    if (count_ < buf_.size()) {
-        buf_[(head_ + count_) % buf_.size()] = e;
-        ++count_;
-        return;
-    }
-    // Drop-oldest: overwrite the head slot and advance it.
-    buf_[head_] = e;
-    head_ = (head_ + 1) % buf_.size();
-    ++dropped_;
-}
-
-std::vector<TraceEvent>
-Tracer::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    std::vector<TraceEvent> out;
-    out.reserve(count_);
-    for (std::size_t i = 0; i < count_; ++i)
-        out.push_back(buf_[(head_ + i) % buf_.size()]);
-    return out;
-}
-
-void
-Tracer::clear()
-{
-    std::lock_guard<std::mutex> lock(m_);
-    head_ = 0;
-    count_ = 0;
-    dropped_ = 0;
-    recorded_ = 0;
 }
 
 SpanCheck

@@ -2,11 +2,10 @@
  * @file
  * Runtime tracing configuration, embedded in dp::SdpConfig.
  *
- * The compile-time gate is HYPERPLANE_TRACE (see trace.hh); this struct
- * is the runtime gate.  With enable unset, no tracer or breakdown
- * tracker is constructed and every stamp site reduces to a null-pointer
- * test.  The time-series sampler is gated separately by its period so
- * counter trajectories can be captured without event tracing.
+ * With enable unset, no flight recorder or breakdown tracker is
+ * constructed and every stamp site reduces to a null-pointer test.
+ * The time-series sampler is gated separately by its period so counter
+ * trajectories can be captured without event tracing.
  */
 
 #ifndef HYPERPLANE_TRACE_TRACE_CONFIG_HH
@@ -24,7 +23,7 @@ struct TraceConfig
 {
     /** Record notification-path events + the latency breakdown. */
     bool enable = false;
-    /** Ring-buffer capacity, events (overflow drops the oldest). */
+    /** Flight-recorder capacity, events (overflow drops the oldest). */
     std::size_t bufferCapacity = 1 << 16;
     /** Snapshot registry counters every this many us; 0 disables. */
     double sampleEveryUs = 0.0;

@@ -262,6 +262,7 @@ TEST(EmuMute, MutedRingKeepsAccountingButWakesNobody)
     hp.ring(*qid, 3);
     EXPECT_EQ(hp.pendingItems(*qid), 3u);
     EXPECT_EQ(hp.ringCalls(*qid), 1u);
+    EXPECT_EQ(hp.ringedItems(*qid), 3u);
     EXPECT_EQ(hp.mutedRings(), 1u);
     // The doorbell advertises work, but the ready set never armed.
     EXPECT_FALSE(hp.qwaitNonBlocking().has_value());

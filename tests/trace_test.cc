@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the notification-path tracing subsystem: the ring
- * tracer, span pairing, the Chrome-trace exporter, the latency
- * breakdown joiner, the time series, and end-to-end traced SdpSystem
- * runs (breakdown stages must sum to the e2e latency).
+ * Unit tests for the notification-path tracing subsystem: the flight
+ * recorder (including concurrent wraparound), span pairing, the
+ * Chrome-trace exporter, the latency breakdown joiner, the time
+ * series, and end-to-end traced SdpSystem runs (breakdown stages must
+ * sum to the e2e latency).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "harness/runner.hh"
 #include "json_check.hh"
 #include "trace/chrome_trace.hh"
+#include "trace/flight_recorder.hh"
 #include "trace/latency_breakdown.hh"
 #include "trace/timeseries.hh"
 #include "trace/trace.hh"
@@ -26,154 +28,157 @@ namespace hyperplane {
 namespace trace {
 namespace {
 
-TEST(Tracer, DisabledRecordsNothing)
+/** One event, built directly (the exporters take plain vectors). */
+TraceEvent
+ev(Stage stage, Phase phase, std::uint32_t track, Tick ts,
+   QueueId qid = invalidQueueId, std::uint64_t arg = 0)
 {
-    Tracer t(8);
-    ASSERT_FALSE(t.enabled());
-    t.instant(Stage::DoorbellWrite, 0, 10);
-    t.begin(Stage::Service, 0, 20);
-    EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.recorded(), 0u);
-    EXPECT_EQ(t.dropped(), 0u);
+    return {ts, arg, qid, track, stage, phase};
 }
 
-TEST(Tracer, RingOverflowDropsOldest)
+TEST(FlightRecorder, SamplingIsDeterministicModulus)
 {
-    Tracer t(4);
-    t.setEnabled(true);
-    for (Tick ts = 0; ts < 6; ++ts)
-        t.instant(Stage::DoorbellWrite, 0, ts);
-    EXPECT_EQ(t.size(), 4u);
-    EXPECT_EQ(t.capacity(), 4u);
-    EXPECT_EQ(t.dropped(), 2u);
-    EXPECT_EQ(t.recorded(), 6u);
-    const auto snap = t.snapshot();
-    ASSERT_EQ(snap.size(), 4u);
-    // Oldest events (ts 0, 1) were evicted; snapshot is oldest-first.
-    for (std::size_t i = 0; i < snap.size(); ++i)
-        EXPECT_EQ(snap[i].ts, static_cast<Tick>(i + 2));
+    FlightRecorder fr(1, 16, 64);
+    EXPECT_TRUE(fr.enabled());
+    EXPECT_TRUE(fr.sampled(0));
+    EXPECT_TRUE(fr.sampled(64));
+    EXPECT_TRUE(fr.sampled(128));
+    EXPECT_FALSE(fr.sampled(1));
+    EXPECT_FALSE(fr.sampled(63));
+
+    // A period that is not a power of two rounds down to one.
+    FlightRecorder odd(1, 16, 100);
+    EXPECT_EQ(odd.sampleEvery(), 64u);
+    EXPECT_TRUE(odd.sampled(64));
+    EXPECT_FALSE(odd.sampled(100));
+
+    // Period 0 disables the recorder: nothing samples, nothing records.
+    FlightRecorder off(1, 16, 0);
+    EXPECT_FALSE(off.enabled());
+    EXPECT_FALSE(off.sampled(0));
+    off.stamp(0, Stage::Service, Phase::Begin, 0, 1);
+    off.stamp(0, Stage::DoorbellWrite, Phase::Instant, 0, 2);
+    EXPECT_EQ(off.recorded(), 0u);
+    EXPECT_EQ(off.dropped(), 0u);
+    EXPECT_TRUE(off.snapshot().empty());
 }
 
-TEST(Tracer, ClearResetsCounters)
+TEST(FlightRecorder, WraparoundKeepsNewestSorted)
 {
-    Tracer t(2);
-    t.setEnabled(true);
-    for (int i = 0; i < 5; ++i)
-        t.instant(Stage::Completion, 1, i);
-    t.clear();
-    EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.dropped(), 0u);
-    EXPECT_EQ(t.recorded(), 0u);
-    t.instant(Stage::Completion, 1, 9);
-    EXPECT_EQ(t.snapshot().front().ts, 9u);
+    // Capacity inputs: 1 (0 counts as 1) up to one that never wraps.
+    // recorded counts every stamp; the ring keeps the newest
+    // min(recorded, capacity) and dropped() counts the rest.
+    constexpr std::uint64_t n = 20;
+    for (const std::size_t cap : {0, 1, 4, 8, 32}) {
+        SCOPED_TRACE(cap);
+        FlightRecorder fr(1, cap, 1);
+        const std::size_t kept = std::min<std::size_t>(
+            n, std::max<std::size_t>(1, cap));
+        EXPECT_EQ(fr.capacity(), std::max<std::size_t>(1, cap));
+        for (std::uint64_t i = 0; i < n; ++i)
+            fr.stamp(0, Stage::Completion, Phase::Instant, 3,
+                     static_cast<Tick>(i * 10), 7, i);
+        EXPECT_EQ(fr.recorded(), n);
+        EXPECT_EQ(fr.dropped(), n - kept);
+        const auto snap = fr.snapshot();
+        ASSERT_EQ(snap.size(), kept);
+        // Only the newest survive, sorted by timestamp.
+        for (std::size_t i = 0; i < snap.size(); ++i) {
+            EXPECT_EQ(snap[i].arg, n - kept + i);
+            EXPECT_EQ(snap[i].ts, static_cast<Tick>((n - kept + i) * 10));
+            EXPECT_EQ(snap[i].track, 3u);
+            EXPECT_EQ(snap[i].qid, 7u);
+        }
+    }
 }
 
-TEST(Tracer, ConcurrentStampingWrapsCleanly)
+TEST(FlightRecorder, ConcurrentStampAndSnapshotStayCoherent)
 {
-    // Many threads stamping through a deliberately tiny ring: every
-    // push must be accounted (recorded == kept + dropped), the ring
-    // must never exceed capacity, and a snapshot taken *during* the
-    // storm must only ever contain fully-written events.  Run under
-    // TSan (HYPERPLANE_SANITIZE=thread) this doubles as a data-race
-    // check on the push/snapshot paths.
-    constexpr std::size_t cap = 64;
-    constexpr unsigned numThreads = 4;
-    constexpr std::uint64_t perThread = 5000;
-    Tracer t(cap);
-    t.setEnabled(true);
-
-    std::atomic<bool> snapRun{true};
-    std::thread snapper([&] {
-        while (snapRun.load(std::memory_order_relaxed)) {
-            for (const auto &e : t.snapshot()) {
-                // A torn event would show an impossible track/arg
-                // pairing; every writer stamps arg = track * 1e9 + i.
-                ASSERT_EQ(e.arg / 1000000000u, e.track);
-                ASSERT_LT(e.arg % 1000000000u, perThread);
+    // Single-writer-per-shard stamping races against a snapshotting
+    // reader over tiny rings (capacity inputs 1 and 16).  Snapshots
+    // must only ever contain fully-written events (the per-slot
+    // seqlock discards mid-write slots); under TSan this is also the
+    // data-race check.
+    constexpr unsigned shards = 3;
+    constexpr std::uint64_t perShard = 20000;
+    for (const std::size_t cap : {1, 16}) {
+        SCOPED_TRACE(cap);
+        FlightRecorder fr(shards, cap, 1);
+        std::atomic<bool> run{true};
+        std::thread reader([&] {
+            while (run.load(std::memory_order_relaxed)) {
+                for (const auto &e : fr.snapshot()) {
+                    // Writers encode track == shard and arg == ts, so
+                    // any torn slot shows up as a mismatched pair.
+                    ASSERT_EQ(e.arg, static_cast<std::uint64_t>(e.ts));
+                    ASSERT_LT(e.track, shards);
+                }
             }
-        }
-    });
-    std::vector<std::thread> writers;
-    for (unsigned w = 0; w < numThreads; ++w) {
-        writers.emplace_back([&t, w] {
-            for (std::uint64_t i = 0; i < perThread; ++i)
-                t.instant(Stage::DoorbellWrite, w, i, w,
-                          static_cast<std::uint64_t>(w) * 1000000000u +
-                              i);
         });
-    }
-    for (auto &th : writers)
-        th.join();
-    snapRun.store(false);
-    snapper.join();
-
-    EXPECT_EQ(t.recorded(), numThreads * perThread);
-    EXPECT_EQ(t.size(), cap);
-    EXPECT_EQ(t.dropped(), numThreads * perThread - cap);
-    const auto snap = t.snapshot();
-    ASSERT_EQ(snap.size(), cap);
-    // Per-writer order survives the wrap: each track's surviving args
-    // must be strictly increasing (the ring drops oldest-first).
-    std::array<std::uint64_t, numThreads> last{};
-    std::array<bool, numThreads> seen{};
-    for (const auto &e : snap) {
-        const std::uint64_t i = e.arg % 1000000000u;
-        if (seen[e.track]) {
-            EXPECT_GT(i, last[e.track]);
+        std::vector<std::thread> writers;
+        for (unsigned s = 0; s < shards; ++s) {
+            writers.emplace_back([&fr, s] {
+                for (std::uint64_t i = 1; i <= perShard; ++i)
+                    fr.stamp(s, Stage::Service, Phase::Instant, s,
+                             static_cast<Tick>(i), invalidQueueId, i);
+            });
         }
-        seen[e.track] = true;
-        last[e.track] = i;
-    }
-}
+        for (auto &w : writers)
+            w.join();
+        run.store(false);
+        reader.join();
 
-TEST(Tracer, ClockFeedsNow)
-{
-    Tracer t(4);
-    Tick now = 123;
-    t.setClock([&now] { return now; });
-    EXPECT_EQ(t.now(), 123u);
-    now = 456;
-    EXPECT_EQ(t.now(), 456u);
+        // Every stamp is accounted: recorded == kept + dropped.
+        EXPECT_EQ(fr.recorded(), shards * perShard);
+        EXPECT_EQ(fr.dropped(), shards * (perShard - cap));
+        const auto snap = fr.snapshot();
+        ASSERT_EQ(snap.size(), shards * cap); // nothing mid-write now
+        // Merged sort order, and each writer's newest events survive
+        // in order.
+        std::array<std::uint64_t, shards> last{};
+        for (std::size_t i = 0; i < snap.size(); ++i) {
+            if (i > 0) {
+                EXPECT_GE(snap[i].ts, snap[i - 1].ts);
+            }
+            EXPECT_GT(snap[i].arg, perShard - cap);
+            EXPECT_GT(snap[i].arg, last[snap[i].track]);
+            last[snap[i].track] = snap[i].arg;
+        }
+    }
 }
 
 TEST(SpanPairing, NestedSpansPerTrackPass)
 {
-    Tracer t(16);
-    t.setEnabled(true);
-    t.begin(Stage::Service, 0, 10);
-    t.begin(Stage::Halt, 1, 11); // other track interleaves freely
-    t.instant(Stage::Completion, 0, 12);
-    t.end(Stage::Service, 0, 13);
-    t.end(Stage::Halt, 1, 14);
-    const auto check = checkSpanPairing(t.snapshot());
+    const std::vector<TraceEvent> events = {
+        ev(Stage::Service, Phase::Begin, 0, 10),
+        ev(Stage::Halt, Phase::Begin, 1, 11), // other track interleaves
+        ev(Stage::Completion, Phase::Instant, 0, 12),
+        ev(Stage::Service, Phase::End, 0, 13),
+        ev(Stage::Halt, Phase::End, 1, 14),
+    };
+    const auto check = checkSpanPairing(events);
     EXPECT_TRUE(check.ok) << check.error;
 }
 
 TEST(SpanPairing, UnmatchedEndFails)
 {
-    Tracer t(4);
-    t.setEnabled(true);
-    t.end(Stage::Service, 0, 10);
-    const auto check = checkSpanPairing(t.snapshot());
+    const auto check =
+        checkSpanPairing({ev(Stage::Service, Phase::End, 0, 10)});
     EXPECT_FALSE(check.ok);
     EXPECT_NE(check.error.find("unmatched End"), std::string::npos);
 }
 
 TEST(SpanPairing, MismatchedStageFails)
 {
-    Tracer t(4);
-    t.setEnabled(true);
-    t.begin(Stage::Service, 0, 10);
-    t.end(Stage::Halt, 0, 11);
-    EXPECT_FALSE(checkSpanPairing(t.snapshot()).ok);
+    EXPECT_FALSE(checkSpanPairing({ev(Stage::Service, Phase::Begin, 0, 10),
+                                   ev(Stage::Halt, Phase::End, 0, 11)})
+                     .ok);
 }
 
 TEST(SpanPairing, UnclosedBeginFails)
 {
-    Tracer t(4);
-    t.setEnabled(true);
-    t.begin(Stage::Halt, 2, 10);
-    const auto check = checkSpanPairing(t.snapshot());
+    const auto check =
+        checkSpanPairing({ev(Stage::Halt, Phase::Begin, 2, 10)});
     EXPECT_FALSE(check.ok);
     EXPECT_NE(check.error.find("unclosed Begin"), std::string::npos);
 }
@@ -190,13 +195,12 @@ TEST(TrackNames, PseudoTracksAreNamed)
 
 TEST(ChromeTrace, ExportIsWellFormedJson)
 {
-    Tracer t(16);
-    t.setEnabled(true);
-    t.instant(Stage::DoorbellWrite, trackDevice, 100, 7, 1);
-    t.begin(Stage::Service, 0, 200, 7);
-    t.instant(Stage::Completion, 0, 250, 7, 1);
-    t.end(Stage::Service, 0, 300, 7);
-    const std::string json = chromeTraceJson(t.snapshot());
+    const std::string json = chromeTraceJson({
+        ev(Stage::DoorbellWrite, Phase::Instant, trackDevice, 100, 7, 1),
+        ev(Stage::Service, Phase::Begin, 0, 200, 7),
+        ev(Stage::Completion, Phase::Instant, 0, 250, 7, 1),
+        ev(Stage::Service, Phase::End, 0, 300, 7),
+    });
     EXPECT_TRUE(hyperplane::testing::jsonWellFormed(json)) << json;
     // Stage names, phases, and thread_name metadata must appear.
     EXPECT_NE(json.find("\"doorbell_write\""), std::string::npos);
@@ -327,8 +331,6 @@ tracedZeroLoadConfig()
 
 TEST(TracedRun, BreakdownStagesSumToEndToEnd)
 {
-    if (!kCompiledIn)
-        GTEST_SKIP() << "built with HYPERPLANE_TRACE=0";
     dp::SdpSystem sys(tracedZeroLoadConfig());
     const auto r = sys.run();
     ASSERT_GT(r.breakdownSamples, 0u);
@@ -344,18 +346,35 @@ TEST(TracedRun, BreakdownStagesSumToEndToEnd)
 
 TEST(TracedRun, SpansPairAndExportIsValidJson)
 {
-    if (!kCompiledIn)
-        GTEST_SKIP() << "built with HYPERPLANE_TRACE=0";
-    dp::SdpSystem sys(tracedZeroLoadConfig());
-    sys.run();
-    ASSERT_NE(sys.tracer(), nullptr);
-    ASSERT_EQ(sys.tracer()->dropped(), 0u);
-    const auto check = checkSpanPairing(sys.tracer()->snapshot());
-    EXPECT_TRUE(check.ok) << check.error;
+    // Capacity inputs: the default ring keeps the whole run; 1 and 64
+    // overflow it.  The counters must reconcile either way, and spans
+    // must pair whenever nothing was evicted.
+    const std::size_t defaultCap =
+        tracedZeroLoadConfig().trace.bufferCapacity;
+    for (const std::size_t cap :
+         {std::size_t{1}, std::size_t{64}, defaultCap}) {
+        SCOPED_TRACE(cap);
+        auto cfg = tracedZeroLoadConfig();
+        cfg.trace.bufferCapacity = cap;
+        dp::SdpSystem sys(cfg);
+        const auto r = sys.run();
+        ASSERT_NE(sys.tracer(), nullptr);
+        const auto events = sys.tracer()->snapshot();
+        EXPECT_EQ(events.size(),
+                  std::min<std::uint64_t>(r.traceEvents, cap));
+        EXPECT_EQ(r.traceDropped, r.traceEvents - events.size());
+        if (cap == defaultCap) {
+            ASSERT_EQ(r.traceDropped, 0u);
+        }
+        if (r.traceDropped == 0) {
+            const auto check = checkSpanPairing(events);
+            EXPECT_TRUE(check.ok) << check.error;
+        }
 
-    std::ostringstream os;
-    sys.writeChromeTrace(os);
-    EXPECT_TRUE(hyperplane::testing::jsonWellFormed(os.str()));
+        std::ostringstream os;
+        sys.writeChromeTrace(os);
+        EXPECT_TRUE(hyperplane::testing::jsonWellFormed(os.str()));
+    }
 }
 
 TEST(TracedRun, DisabledRunPaysNothing)
@@ -387,8 +406,6 @@ TEST(TracedRun, TracingDoesNotPerturbResults)
 
 TEST(TracedRun, RegistrySamplerLeavesTimeSeries)
 {
-    if (!kCompiledIn)
-        GTEST_SKIP() << "built with HYPERPLANE_TRACE=0";
     auto cfg = tracedZeroLoadConfig();
     cfg.trace.sampleEveryUs = cfg.measureUs / 20.0;
     dp::SdpSystem sys(cfg);
