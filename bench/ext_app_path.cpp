@@ -23,7 +23,11 @@
  *    zero payload copies (app handlers build responses in the RX frame
  *    in place — same tripwire as echo);
  *  - server, per app: the app's own counters moved (sketch updates /
- *    connection opens / spin edges observed).
+ *    connection opens / spin edges observed);
+ *  - server, conntrack: no out-of-order segment unless a request was
+ *    shed or lost (one thread serves a queue at a time, so each flow
+ *    reaches the handler in arrival order; a missing request still
+ *    leaves a counted gap).
  *
  * Flags:
  *   --quick          small sweep for CI smoke runs
@@ -453,6 +457,16 @@ main(int argc, char **argv)
             std::printf("CHECK FAIL: %s @ %u flows: app counter "
                         "stayed zero\n",
                         app::statName(p.kind), p.numFlows);
+            ok = false;
+        }
+        const bool nothingMissing =
+            r.shed == 0 && r.lost == 0 && r.sendFailures == 0;
+        if (p.kind == app::AppKind::ConntrackLb && p.outOfOrder > 0.0 &&
+            nothingMissing) {
+            std::printf("CHECK FAIL: conntrack @ %u flows: %.0f "
+                        "out-of-order segments with nothing shed or "
+                        "lost\n",
+                        p.numFlows, p.outOfOrder);
             ok = false;
         }
     }

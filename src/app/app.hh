@@ -20,10 +20,12 @@
  * That is the core-local state-consistency argument of "Relaxing
  * state-access constraints in stateful programmable data planes"
  * (arXiv 1703.05442): flow-sharded state needs no cross-core
- * coordination.  A per-shard mutex still guards each partition because
- * the emulated server's doorbells may over-advertise, letting two
- * workers drain one queue concurrently; in the simulator the lock is
- * uncontended by construction (queues are cluster-local).
+ * coordination, as long as one thread at a time owns a queue.  Both
+ * callers guarantee that — the server serves a queue under its
+ * per-queue serving lock, the simulator is single-threaded — so shards
+ * take no locks.  Counters a scraper reads are stats::WriterCell
+ * single-writer cells; idle state expires inside handle(), per shard,
+ * in both environments.
  *
  * The same handler classes are registered in BOTH execution
  * environments: the UDP server's worker pool dispatches wire opcodes
@@ -121,9 +123,11 @@ class StatefulHandler
     const char *name() const { return statName(kind()); }
 
     /**
-     * Handle one request whose flow is owned by @p shard.  Thread-safe
-     * per shard (internal per-shard mutex); concurrent calls on
-     * distinct shards never contend.
+     * Handle one request whose flow is owned by @p shard.  The caller
+     * guarantees at most one caller per shard at a time (the shard
+     * takes no lock); calls on distinct shards may run concurrently.
+     * A request whose own state has idled past the timeout finds it
+     * expired, and an amortized shard sweep bounds the table.
      *
      * @return ok=false (and no output) when the payload fails to
      *         decode — the caller maps that to wire::statusBadPayload.
@@ -131,16 +135,8 @@ class StatefulHandler
     virtual AppResult handle(unsigned shard, const AppRequest &req,
                              std::uint8_t *out, std::size_t outCap) = 0;
 
-    /**
-     * Expire idle state across all shards — driven off the server's
-     * watchdog sweep.  Handlers also expire amortized from handle()
-     * (shard-locally, so the simulator stays deterministic without an
-     * external sweeper).
-     */
-    virtual void sweepIdle(std::uint64_t nowNs) = 0;
-
-    /** Register this app's counters under "<prefix>" (cold path;
-     *  getters take the shard locks). */
+    /** Register this app's counters under "<prefix>" (cold path, any
+     *  thread: every value is a single-writer cell). */
     virtual void registerStats(stats::Registry &reg,
                                const std::string &prefix) = 0;
 };

@@ -45,11 +45,10 @@ ConntrackLbApp::handle(unsigned shard, const AppRequest &req,
                        std::uint8_t *out, std::size_t outCap)
 {
     Shard &s = *shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mu);
 
     const auto m = decodeCtRequest(req.payload, req.payloadLen);
     if (!m) {
-        ++s.decodeErrors;
+        s.decodeErrors.add();
         return AppResult{};
     }
 
@@ -58,12 +57,13 @@ ConntrackLbApp::handle(unsigned shard, const AppRequest &req,
     const std::uint64_t key = connKey(*m);
 
     CtResponse resp;
-    auto it = s.conns.find(key);
+    auto it = findLive(s.conns, key, req.nowNs, cfg_.idleTimeoutNs,
+                       s.expiries);
     switch (m->verb) {
       case CtVerb::Open: {
         if (it == s.conns.end()) {
             if (s.conns.size() >= cfg_.maxEntriesPerShard) {
-                ++s.overflows;
+                s.overflows.add();
                 resp.backend = pickBackend(*m);
                 resp.expectedSeq = m->seqNo + 1;
                 resp.state = 0;
@@ -71,7 +71,7 @@ ConntrackLbApp::handle(unsigned shard, const AppRequest &req,
             }
             it = s.conns.emplace(key, Entry{}).first;
             it->second.backend = pickBackend(*m);
-            ++s.opens;
+            s.opens.add();
             res.opCost += 2; // hash + insert
         }
         it->second.expectedSeq = m->seqNo + 1;
@@ -84,15 +84,15 @@ ConntrackLbApp::handle(unsigned shard, const AppRequest &req,
       case CtVerb::Data: {
         if (it == s.conns.end()) {
             // The Open was lost (UDP): recreate rather than drop.
-            ++s.misses;
+            s.misses.add();
             it = s.conns.emplace(key, Entry{}).first;
             it->second.backend = pickBackend(*m);
             it->second.expectedSeq = m->seqNo;
-            ++s.opens;
+            s.opens.add();
             res.opCost += 2;
         }
         if (m->seqNo != it->second.expectedSeq)
-            ++s.outOfOrder;
+            s.outOfOrder.add();
         it->second.expectedSeq = m->seqNo + 1;
         it->second.lastSeenNs = req.nowNs;
         resp.backend = it->second.backend;
@@ -102,7 +102,7 @@ ConntrackLbApp::handle(unsigned shard, const AppRequest &req,
       }
       case CtVerb::Close: {
         if (it == s.conns.end()) {
-            ++s.misses;
+            s.misses.add();
             resp.backend = pickBackend(*m);
             resp.expectedSeq = m->seqNo + 1;
             resp.state = 0;
@@ -111,19 +111,16 @@ ConntrackLbApp::handle(unsigned shard, const AppRequest &req,
             resp.expectedSeq = m->seqNo + 1;
             resp.state = 0;
             s.conns.erase(it);
-            ++s.closes;
+            s.closes.add();
             ++res.opCost;
         }
         break;
       }
     }
 
-    // Amortized shard-local expiry keeps the table bounded even if the
-    // watchdog never runs (the simulator has no watchdog).
-    if (req.nowNs > s.lastSweepNs &&
-        req.nowNs - s.lastSweepNs > cfg_.idleTimeoutNs) {
-        sweepShard(s, req.nowNs);
-    }
+    sweepAmortized(s.conns, s.lastSweepNs, req.nowNs, cfg_.idleTimeoutNs,
+                   s.expiries);
+    s.active.set(s.conns.size());
 
     res.payloadLen =
         static_cast<std::uint32_t>(encode(resp, out, outCap));
@@ -132,133 +129,18 @@ ConntrackLbApp::handle(unsigned shard, const AppRequest &req,
 }
 
 void
-ConntrackLbApp::sweepShard(Shard &s, std::uint64_t nowNs)
-{
-    s.lastSweepNs = nowNs;
-    for (auto it = s.conns.begin(); it != s.conns.end();) {
-        if (nowNs - it->second.lastSeenNs > cfg_.idleTimeoutNs) {
-            it = s.conns.erase(it);
-            ++s.expiries;
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
-ConntrackLbApp::sweepIdle(std::uint64_t nowNs)
-{
-    for (auto &sp : shards_) {
-        Shard &s = *sp;
-        std::lock_guard<std::mutex> lock(s.mu);
-        sweepShard(s, nowNs);
-    }
-}
-
-std::uint64_t
-ConntrackLbApp::activeConnections() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->conns.size();
-    }
-    return n;
-}
-
-std::uint64_t
-ConntrackLbApp::opens() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->opens;
-    }
-    return n;
-}
-
-std::uint64_t
-ConntrackLbApp::closes() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->closes;
-    }
-    return n;
-}
-
-std::uint64_t
-ConntrackLbApp::expiries() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->expiries;
-    }
-    return n;
-}
-
-std::uint64_t
-ConntrackLbApp::misses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->misses;
-    }
-    return n;
-}
-
-std::uint64_t
-ConntrackLbApp::outOfOrder() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->outOfOrder;
-    }
-    return n;
-}
-
-void
 ConntrackLbApp::registerStats(stats::Registry &reg,
                               const std::string &prefix)
 {
-    reg.addScalar(prefix + ".active", [this] {
-        return static_cast<double>(activeConnections());
-    });
-    reg.addScalar(prefix + ".opens", [this] {
-        return static_cast<double>(opens());
-    });
-    reg.addScalar(prefix + ".closes", [this] {
-        return static_cast<double>(closes());
-    });
-    reg.addScalar(prefix + ".expiries", [this] {
-        return static_cast<double>(expiries());
-    });
-    reg.addScalar(prefix + ".misses", [this] {
-        return static_cast<double>(misses());
-    });
-    reg.addScalar(prefix + ".out_of_order", [this] {
-        return static_cast<double>(outOfOrder());
-    });
-    reg.addScalar(prefix + ".overflows", [this] {
-        std::uint64_t n = 0;
-        for (const auto &sp : shards_) {
-            std::lock_guard<std::mutex> lock(sp->mu);
-            n += sp->overflows;
-        }
-        return static_cast<double>(n);
-    });
-    reg.addScalar(prefix + ".decode_errors", [this] {
-        std::uint64_t n = 0;
-        for (const auto &sp : shards_) {
-            std::lock_guard<std::mutex> lock(sp->mu);
-            n += sp->decodeErrors;
-        }
-        return static_cast<double>(n);
-    });
+    registerShardCells(reg, prefix, shards_,
+                       {{".active", &Shard::active},
+                        {".opens", &Shard::opens},
+                        {".closes", &Shard::closes},
+                        {".expiries", &Shard::expiries},
+                        {".misses", &Shard::misses},
+                        {".out_of_order", &Shard::outOfOrder},
+                        {".overflows", &Shard::overflows},
+                        {".decode_errors", &Shard::decodeErrors}});
 }
 
 } // namespace app

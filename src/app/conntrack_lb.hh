@@ -4,8 +4,8 @@
  * -> backend, expected seqno, idle timestamp) sharded by the crc32c
  * flow hash so every connection's entry is owned by exactly one worker
  * core — the core-local sharding argument of arXiv 1703.05442.  Idle
- * entries expire both amortized in the data path and from the server's
- * watchdog sweep.
+ * entries expire in the data path: a request finds its own idle entry
+ * expired, and an amortized shard sweep bounds the table.
  *
  * Backend selection hashes the 5-tuple, so a connection that expires
  * and re-opens lands on the same backend (stable under churn).  Data
@@ -17,11 +17,11 @@
 #ifndef HYPERPLANE_APP_CONNTRACK_LB_HH
 #define HYPERPLANE_APP_CONNTRACK_LB_HH
 
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "app/app.hh"
+#include "app/shard_table.hh"
 
 namespace hyperplane {
 namespace app {
@@ -35,17 +35,31 @@ class ConntrackLbApp : public StatefulHandler
     AppKind kind() const override { return AppKind::ConntrackLb; }
     AppResult handle(unsigned shard, const AppRequest &req,
                      std::uint8_t *out, std::size_t outCap) override;
-    void sweepIdle(std::uint64_t nowNs) override;
     void registerStats(stats::Registry &reg,
                        const std::string &prefix) override;
 
-    /** Aggregated counters (sums across shards, under the locks). */
-    std::uint64_t activeConnections() const;
-    std::uint64_t opens() const;
-    std::uint64_t closes() const;
-    std::uint64_t expiries() const;
-    std::uint64_t misses() const;
-    std::uint64_t outOfOrder() const;
+    /** Aggregated counters (sums across shards, any thread). */
+    std::uint64_t activeConnections() const
+    {
+        return sumShards(shards_, &Shard::active);
+    }
+    std::uint64_t opens() const { return sumShards(shards_, &Shard::opens); }
+    std::uint64_t closes() const
+    {
+        return sumShards(shards_, &Shard::closes);
+    }
+    std::uint64_t expiries() const
+    {
+        return sumShards(shards_, &Shard::expiries);
+    }
+    std::uint64_t misses() const
+    {
+        return sumShards(shards_, &Shard::misses);
+    }
+    std::uint64_t outOfOrder() const
+    {
+        return sumShards(shards_, &Shard::outOfOrder);
+    }
 
   private:
     struct Entry
@@ -57,21 +71,20 @@ class ConntrackLbApp : public StatefulHandler
 
     struct Shard
     {
-        mutable std::mutex mu;
         std::unordered_map<std::uint64_t, Entry> conns;
-        std::uint64_t opens = 0;
-        std::uint64_t closes = 0;
-        std::uint64_t expiries = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t outOfOrder = 0;
-        std::uint64_t overflows = 0;
-        std::uint64_t decodeErrors = 0;
+        stats::WriterCell active; ///< conns.size(), for scrapers
+        stats::WriterCell opens;
+        stats::WriterCell closes;
+        stats::WriterCell expiries;
+        stats::WriterCell misses;
+        stats::WriterCell outOfOrder;
+        stats::WriterCell overflows;
+        stats::WriterCell decodeErrors;
         std::uint64_t lastSweepNs = 0;
     };
 
     static std::uint64_t connKey(const CtRequest &m);
     std::uint32_t pickBackend(const CtRequest &m) const;
-    void sweepShard(Shard &s, std::uint64_t nowNs);
 
     AppConfig cfg_;
     std::vector<std::unique_ptr<Shard>> shards_;

@@ -83,27 +83,28 @@ HeavyHitterApp::handle(unsigned shard, const AppRequest &req,
                        std::uint8_t *out, std::size_t outCap)
 {
     Shard &s = *shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mu);
 
     const auto m = decodeHhRequest(req.payload, req.payloadLen);
     if (!m) {
-        ++s.decodeErrors;
+        s.decodeErrors.add();
         return AppResult{};
     }
 
     AppResult res;
     res.opCost = cfg_.sketchDepth;
     const std::uint64_t est = s.sketch.update(m->key, m->weight);
-    ++s.updates;
+    s.updates.add();
+    s.totalWeight.set(s.sketch.totalWeight());
 
     HhResponse resp;
     resp.estimate = est;
-    const auto it = s.promoted.find(m->key);
+    const auto it = findLive(s.promoted, m->key, req.nowNs,
+                             cfg_.idleTimeoutNs, s.evictions);
     if (it != s.promoted.end()) {
         // Already promoted: the exact table carries the key from here.
         it->second.weight += m->weight;
         it->second.lastSeenNs = req.nowNs;
-        ++s.hotHits;
+        s.hotHits.add();
         resp.hot = 1;
         ++res.opCost;
     } else if (est >= cfg_.promoteThreshold) {
@@ -117,21 +118,18 @@ HeavyHitterApp::handle(unsigned shard, const AppRequest &req,
                     victim = pit;
             }
             s.promoted.erase(victim);
-            ++s.evictions;
+            s.evictions.add();
             res.opCost += 4;
         }
         s.promoted.emplace(m->key, Promoted{est, req.nowNs});
-        ++s.promotions;
+        s.promotions.add();
         resp.hot = 1;
         ++res.opCost;
     }
 
-    // Amortized shard-local idle sweep (keeps the simulator
-    // deterministic without an external sweeper thread).
-    if (req.nowNs > s.lastSweepNs &&
-        req.nowNs - s.lastSweepNs > cfg_.idleTimeoutNs) {
-        sweepShard(s, req.nowNs);
-    }
+    sweepAmortized(s.promoted, s.lastSweepNs, req.nowNs, cfg_.idleTimeoutNs,
+                   s.evictions);
+    s.hotFlows.set(s.promoted.size());
 
     res.payloadLen =
         static_cast<std::uint32_t>(encode(resp, out, outCap));
@@ -140,105 +138,16 @@ HeavyHitterApp::handle(unsigned shard, const AppRequest &req,
 }
 
 void
-HeavyHitterApp::sweepShard(Shard &s, std::uint64_t nowNs)
-{
-    s.lastSweepNs = nowNs;
-    for (auto it = s.promoted.begin(); it != s.promoted.end();) {
-        if (nowNs - it->second.lastSeenNs > cfg_.idleTimeoutNs) {
-            it = s.promoted.erase(it);
-            ++s.evictions;
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
-HeavyHitterApp::sweepIdle(std::uint64_t nowNs)
-{
-    for (auto &sp : shards_) {
-        Shard &s = *sp;
-        std::lock_guard<std::mutex> lock(s.mu);
-        sweepShard(s, nowNs);
-    }
-}
-
-std::uint64_t
-HeavyHitterApp::updates() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->updates;
-    }
-    return n;
-}
-
-std::uint64_t
-HeavyHitterApp::promotions() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->promotions;
-    }
-    return n;
-}
-
-std::uint64_t
-HeavyHitterApp::hotFlows() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->promoted.size();
-    }
-    return n;
-}
-
-std::uint64_t
-HeavyHitterApp::hotHits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->hotHits;
-    }
-    return n;
-}
-
-void
 HeavyHitterApp::registerStats(stats::Registry &reg,
                               const std::string &prefix)
 {
-    reg.addScalar(prefix + ".updates", [this] {
-        return static_cast<double>(updates());
-    });
-    reg.addScalar(prefix + ".promotions", [this] {
-        return static_cast<double>(promotions());
-    });
-    reg.addScalar(prefix + ".hot_flows", [this] {
-        return static_cast<double>(hotFlows());
-    });
-    reg.addScalar(prefix + ".hot_hits", [this] {
-        return static_cast<double>(hotHits());
-    });
-    reg.addScalar(prefix + ".total_weight", [this] {
-        std::uint64_t n = 0;
-        for (const auto &sp : shards_) {
-            std::lock_guard<std::mutex> lock(sp->mu);
-            n += sp->sketch.totalWeight();
-        }
-        return static_cast<double>(n);
-    });
-    reg.addScalar(prefix + ".decode_errors", [this] {
-        std::uint64_t n = 0;
-        for (const auto &sp : shards_) {
-            std::lock_guard<std::mutex> lock(sp->mu);
-            n += sp->decodeErrors;
-        }
-        return static_cast<double>(n);
-    });
+    registerShardCells(reg, prefix, shards_,
+                       {{".updates", &Shard::updates},
+                        {".promotions", &Shard::promotions},
+                        {".hot_flows", &Shard::hotFlows},
+                        {".hot_hits", &Shard::hotHits},
+                        {".total_weight", &Shard::totalWeight},
+                        {".decode_errors", &Shard::decodeErrors}});
 }
 
 } // namespace app

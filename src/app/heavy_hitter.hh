@@ -17,16 +17,16 @@
 #ifndef HYPERPLANE_APP_HEAVY_HITTER_HH
 #define HYPERPLANE_APP_HEAVY_HITTER_HH
 
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "app/app.hh"
+#include "app/shard_table.hh"
 
 namespace hyperplane {
 namespace app {
 
-/** Count-min sketch over u32 keys (single-writer; callers lock). */
+/** Count-min sketch over u32 keys (single writer: the shard's owner). */
 class CountMinSketch
 {
   public:
@@ -65,15 +65,26 @@ class HeavyHitterApp : public StatefulHandler
     AppKind kind() const override { return AppKind::HeavyHitter; }
     AppResult handle(unsigned shard, const AppRequest &req,
                      std::uint8_t *out, std::size_t outCap) override;
-    void sweepIdle(std::uint64_t nowNs) override;
     void registerStats(stats::Registry &reg,
                        const std::string &prefix) override;
 
-    /** Aggregated counters (sums across shards, under the locks). */
-    std::uint64_t updates() const;
-    std::uint64_t promotions() const;
-    std::uint64_t hotFlows() const;
-    std::uint64_t hotHits() const;
+    /** Aggregated counters (sums across shards, any thread). */
+    std::uint64_t updates() const
+    {
+        return sumShards(shards_, &Shard::updates);
+    }
+    std::uint64_t promotions() const
+    {
+        return sumShards(shards_, &Shard::promotions);
+    }
+    std::uint64_t hotFlows() const
+    {
+        return sumShards(shards_, &Shard::hotFlows);
+    }
+    std::uint64_t hotHits() const
+    {
+        return sumShards(shards_, &Shard::hotHits);
+    }
 
   private:
     struct Promoted
@@ -84,14 +95,15 @@ class HeavyHitterApp : public StatefulHandler
 
     struct Shard
     {
-        mutable std::mutex mu;
         CountMinSketch sketch;
         std::unordered_map<std::uint32_t, Promoted> promoted;
-        std::uint64_t updates = 0;
-        std::uint64_t promotions = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t hotHits = 0;
-        std::uint64_t decodeErrors = 0;
+        stats::WriterCell hotFlows;    ///< promoted.size(), for scrapers
+        stats::WriterCell totalWeight; ///< sketch.totalWeight(), likewise
+        stats::WriterCell updates;
+        stats::WriterCell promotions;
+        stats::WriterCell evictions;
+        stats::WriterCell hotHits;
+        stats::WriterCell decodeErrors;
         std::uint64_t lastSweepNs = 0;
 
         Shard(unsigned width, unsigned depth, std::uint64_t seed)
@@ -99,8 +111,6 @@ class HeavyHitterApp : public StatefulHandler
         {
         }
     };
-
-    void sweepShard(Shard &s, std::uint64_t nowNs);
 
     AppConfig cfg_;
     std::vector<std::unique_ptr<Shard>> shards_;

@@ -20,17 +20,21 @@ SpinRttApp::handle(unsigned shard, const AppRequest &req,
                    std::uint8_t *out, std::size_t outCap)
 {
     Shard &s = *shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mu);
 
     const auto m = decodeSpinRequest(req.payload, req.payloadLen);
     if (!m) {
-        ++s.decodeErrors;
+        s.decodeErrors.add();
         return AppResult{};
     }
 
     AppResult res;
     res.opCost = 1; // the flow lookup
-    Flow &f = s.flows[req.flowId];
+    // A flow back from idling past the timeout starts over.
+    auto it = findLive(s.flows, req.flowId, req.nowNs, cfg_.flowTimeoutNs,
+                       s.expiries);
+    if (it == s.flows.end())
+        it = s.flows.emplace(req.flowId, Flow{}).first;
+    Flow &f = it->second;
 
     if (!f.seen) {
         // First packet of the flow: record the value, no edge yet.
@@ -41,21 +45,21 @@ SpinRttApp::handle(unsigned shard, const AppRequest &req,
         // An edge.  The gap between consecutive edges is one RTT.
         f.lastSpin = m->spin;
         ++f.edges;
-        ++s.edges;
+        s.edges.add();
         if (f.lastEdgeNs != 0 && req.nowNs > f.lastEdgeNs) {
             f.lastRttNs = req.nowNs - f.lastEdgeNs;
             s.rttNs.record(static_cast<double>(f.lastRttNs));
-            ++s.samples;
+            s.samples.add();
             res.opCost += 1;
         }
         f.lastEdgeNs = req.nowNs;
     }
     f.lastSeenNs = req.nowNs;
 
-    if (req.nowNs > s.lastSweepNs &&
-        req.nowNs - s.lastSweepNs > cfg_.flowTimeoutNs) {
-        sweepShard(s, req.nowNs);
-    }
+    // The sweep never erases f: it was seen just now.
+    sweepAmortized(s.flows, s.lastSweepNs, req.nowNs, cfg_.flowTimeoutNs,
+                   s.expiries);
+    s.trackedFlows.set(s.flows.size());
 
     SpinResponse resp;
     resp.spin = f.lastSpin;
@@ -67,72 +71,13 @@ SpinRttApp::handle(unsigned shard, const AppRequest &req,
     return res;
 }
 
-void
-SpinRttApp::sweepShard(Shard &s, std::uint64_t nowNs)
-{
-    s.lastSweepNs = nowNs;
-    for (auto it = s.flows.begin(); it != s.flows.end();) {
-        if (nowNs - it->second.lastSeenNs > cfg_.flowTimeoutNs) {
-            it = s.flows.erase(it);
-            ++s.expiries;
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
-SpinRttApp::sweepIdle(std::uint64_t nowNs)
-{
-    for (auto &sp : shards_) {
-        Shard &s = *sp;
-        std::lock_guard<std::mutex> lock(s.mu);
-        sweepShard(s, nowNs);
-    }
-}
-
-std::uint64_t
-SpinRttApp::trackedFlows() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->flows.size();
-    }
-    return n;
-}
-
-std::uint64_t
-SpinRttApp::edges() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->edges;
-    }
-    return n;
-}
-
-std::uint64_t
-SpinRttApp::samples() const
-{
-    std::uint64_t n = 0;
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        n += sp->samples;
-    }
-    return n;
-}
-
 stats::LogHistogram
 SpinRttApp::rttHistogram() const
 {
     stats::LogHistogram merged(cfg_.rttHistBaseNs, cfg_.rttHistGrowth,
                                cfg_.rttHistBins);
-    for (const auto &sp : shards_) {
-        std::lock_guard<std::mutex> lock(sp->mu);
-        merged.merge(sp->rttNs);
-    }
+    for (const auto &sp : shards_)
+        merged.merge(sp->rttNs.snapshot());
     return merged;
 }
 
@@ -140,36 +85,17 @@ void
 SpinRttApp::registerStats(stats::Registry &reg,
                           const std::string &prefix)
 {
-    reg.addScalar(prefix + ".tracked_flows", [this] {
-        return static_cast<double>(trackedFlows());
-    });
-    reg.addScalar(prefix + ".edges", [this] {
-        return static_cast<double>(edges());
-    });
-    reg.addScalar(prefix + ".samples", [this] {
-        return static_cast<double>(samples());
-    });
+    registerShardCells(reg, prefix, shards_,
+                       {{".tracked_flows", &Shard::trackedFlows},
+                        {".edges", &Shard::edges},
+                        {".samples", &Shard::samples},
+                        {".expiries", &Shard::expiries},
+                        {".decode_errors", &Shard::decodeErrors}});
     reg.addScalar(prefix + ".rtt_p50_ns", [this] {
         return rttHistogram().quantile(0.50);
     });
     reg.addScalar(prefix + ".rtt_p99_ns", [this] {
         return rttHistogram().quantile(0.99);
-    });
-    reg.addScalar(prefix + ".expiries", [this] {
-        std::uint64_t n = 0;
-        for (const auto &sp : shards_) {
-            std::lock_guard<std::mutex> lock(sp->mu);
-            n += sp->expiries;
-        }
-        return static_cast<double>(n);
-    });
-    reg.addScalar(prefix + ".decode_errors", [this] {
-        std::uint64_t n = 0;
-        for (const auto &sp : shards_) {
-            std::lock_guard<std::mutex> lock(sp->mu);
-            n += sp->decodeErrors;
-        }
-        return static_cast<double>(n);
     });
 }
 

@@ -8,19 +8,21 @@
  * extra packets, zero payload inspection beyond one bit.
  *
  * Per-flow state is a few words (last spin value, last edge time);
- * samples feed a shared per-shard log-scale histogram exported through
- * the registry, so the telemetry plane serves live RTT quantiles.
+ * samples feed a single-writer log-scale histogram per shard, exported
+ * through the registry, so the telemetry plane serves live RTT
+ * quantiles.
  */
 
 #ifndef HYPERPLANE_APP_SPIN_RTT_HH
 #define HYPERPLANE_APP_SPIN_RTT_HH
 
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "app/app.hh"
+#include "app/shard_table.hh"
 #include "stats/histogram.hh"
+#include "stats/single_writer.hh"
 
 namespace hyperplane {
 namespace app {
@@ -34,16 +36,25 @@ class SpinRttApp : public StatefulHandler
     AppKind kind() const override { return AppKind::SpinRtt; }
     AppResult handle(unsigned shard, const AppRequest &req,
                      std::uint8_t *out, std::size_t outCap) override;
-    void sweepIdle(std::uint64_t nowNs) override;
     void registerStats(stats::Registry &reg,
                        const std::string &prefix) override;
 
-    /** Aggregated counters (sums across shards, under the locks). */
-    std::uint64_t trackedFlows() const;
-    std::uint64_t edges() const;
-    std::uint64_t samples() const;
+    /** Aggregated counters (sums across shards, any thread). */
+    std::uint64_t trackedFlows() const
+    {
+        return sumShards(shards_, &Shard::trackedFlows);
+    }
+    std::uint64_t edges() const { return sumShards(shards_, &Shard::edges); }
+    std::uint64_t samples() const
+    {
+        return sumShards(shards_, &Shard::samples);
+    }
+    std::uint64_t expiries() const
+    {
+        return sumShards(shards_, &Shard::expiries);
+    }
 
-    /** Merged RTT histogram across shards (cold path). */
+    /** Merged RTT histogram across shards (cold path, any thread). */
     stats::LogHistogram rttHistogram() const;
 
   private:
@@ -59,13 +70,13 @@ class SpinRttApp : public StatefulHandler
 
     struct Shard
     {
-        mutable std::mutex mu;
         std::unordered_map<std::uint32_t, Flow> flows;
-        stats::LogHistogram rttNs;
-        std::uint64_t edges = 0;
-        std::uint64_t samples = 0;
-        std::uint64_t expiries = 0;
-        std::uint64_t decodeErrors = 0;
+        stats::HistogramShard rttNs;
+        stats::WriterCell trackedFlows; ///< flows.size(), for scrapers
+        stats::WriterCell edges;
+        stats::WriterCell samples;
+        stats::WriterCell expiries;
+        stats::WriterCell decodeErrors;
         std::uint64_t lastSweepNs = 0;
 
         Shard(double base, double growth, unsigned bins)
@@ -73,8 +84,6 @@ class SpinRttApp : public StatefulHandler
         {
         }
     };
-
-    void sweepShard(Shard &s, std::uint64_t nowNs);
 
     AppConfig cfg_;
     std::vector<std::unique_ptr<Shard>> shards_;

@@ -8,8 +8,9 @@
  * the EmuHyperPlane doorbell.  Throughput needs are modest (the doorbell
  * device is the bottleneck by design), so this is the boring correct
  * structure: mutex + deque, with monotonic push/pop counters readable
- * without the lock so the server watchdog can audit depth-vs-doorbell
- * deficits race-free.
+ * without the lock: size() is their difference, and the server
+ * watchdog compares totalPushed() against the items the doorbell ever
+ * advertised (EmuHyperPlane::ringedItems) to find lost rings.
  */
 
 #ifndef HYPERPLANE_QUEUEING_MPMC_QUEUE_HH
@@ -49,10 +50,8 @@ class MpmcQueue
     {
         {
             std::lock_guard<std::mutex> lock(m_);
-            if (items_.size() >= capacity_) {
-                pushFailed_.fetch_add(1, std::memory_order_release);
+            if (items_.size() >= capacity_)
                 return false;
-            }
             items_.push_back(std::move(value));
         }
         pushed_.fetch_add(1, std::memory_order_release);
@@ -112,22 +111,11 @@ class MpmcQueue
     bool empty() const { return size() == 0; }
     std::size_t capacity() const { return capacity_; }
 
-    /** Monotonic counters for deficit audits (lock-free reads). */
+    /** Monotonic push count for deficit audits (lock-free read). */
     std::uint64_t
     totalPushed() const
     {
         return pushed_.load(std::memory_order_acquire);
-    }
-    std::uint64_t
-    totalPopped() const
-    {
-        return popped_.load(std::memory_order_acquire);
-    }
-    /** Rejected pushes (queue full); elements were never enqueued. */
-    std::uint64_t
-    totalPushFailed() const
-    {
-        return pushFailed_.load(std::memory_order_acquire);
     }
 
   private:
@@ -136,7 +124,6 @@ class MpmcQueue
     std::deque<T> items_;
     std::atomic<std::uint64_t> pushed_{0};
     std::atomic<std::uint64_t> popped_{0};
-    std::atomic<std::uint64_t> pushFailed_{0};
 };
 
 } // namespace queueing

@@ -37,10 +37,8 @@ FrameHandle
 FramePool::tryAcquire()
 {
     std::uint32_t idx;
-    if (!freeList_.tryPop(idx)) {
-        exhausted_.fetch_add(1, std::memory_order_relaxed);
+    if (!freeList_.tryPop(idx))
         return {};
-    }
     refs_[idx].store(1, std::memory_order_relaxed);
     return FrameHandle(this, idx);
 }

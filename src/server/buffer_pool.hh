@@ -18,14 +18,10 @@
  *
  * Frames are fixed-size slots in one slab allocation; the free list is
  * a lock-free index stack (queueing::FreeIndexStack), so acquire and
- * release are one CAS each from any thread.  Exhaustion is a counted,
- * graceful condition — the server answers with a typed shed reject
- * from a small reserve pool instead of crashing or silently dropping.
- *
- * copyEvents() counts every payload copy the pipeline performs on
- * frames of this pool (the zero-copy regression tripwire: the echo
- * path must keep it at zero; GRE encap legitimately pays one transform
- * write per request).
+ * release are one CAS each from any thread.  Exhaustion is a graceful
+ * condition — the server answers with a typed shed reject from a small
+ * reserve pool instead of crashing or silently dropping — and the
+ * server counts it, like every payload copy, in its counter matrix.
  */
 
 #ifndef HYPERPLANE_SERVER_BUFFER_POOL_HH
@@ -102,9 +98,6 @@ class FrameHandle
     /** Drop this reference now (handle becomes null). */
     void reset() { release(); }
 
-    /** Record a payload copy touching this frame (zero-copy tripwire). */
-    void countCopy();
-
   private:
     friend class FramePool;
     FrameHandle(FramePool *pool, std::uint32_t idx)
@@ -139,10 +132,7 @@ class FramePool
     FramePool(const FramePool &) = delete;
     FramePool &operator=(const FramePool &) = delete;
 
-    /**
-     * Take a free frame (refcount 1).  Null handle on exhaustion
-     * (counted in exhausted()).
-     */
+    /** Take a free frame (refcount 1).  Null handle on exhaustion. */
     FrameHandle tryAcquire();
 
     std::uint32_t numFrames() const { return numFrames_; }
@@ -150,27 +140,6 @@ class FramePool
 
     /** Free frames right now (approximate under concurrency). */
     std::uint32_t freeFrames() const { return freeList_.approxSize(); }
-
-    /** Failed tryAcquire() calls so far. */
-    std::uint64_t exhausted() const
-    {
-        return exhausted_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Payload bytes copied into/out of this pool's frames by the
-     * pipeline (see countCopy()).  The echo path must not move this.
-     */
-    std::uint64_t copyEvents() const
-    {
-        return copyEvents_.load(std::memory_order_relaxed);
-    }
-
-    /** Record a payload copy touching a frame (zero-copy tripwire). */
-    void countCopy()
-    {
-        copyEvents_.fetch_add(1, std::memory_order_relaxed);
-    }
 
   private:
     friend class FrameHandle;
@@ -191,8 +160,6 @@ class FramePool
     std::unique_ptr<std::uint8_t[]> slab_;
     std::unique_ptr<std::atomic<std::uint32_t>[]> refs_;
     queueing::FreeIndexStack freeList_;
-    std::atomic<std::uint64_t> exhausted_{0};
-    std::atomic<std::uint64_t> copyEvents_{0};
 };
 
 inline std::uint8_t *
@@ -211,13 +178,6 @@ inline std::uint32_t
 FrameHandle::capacity() const
 {
     return pool_ ? pool_->frameBytes() : 0;
-}
-
-inline void
-FrameHandle::countCopy()
-{
-    if (pool_)
-        pool_->countCopy();
 }
 
 inline void

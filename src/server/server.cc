@@ -86,6 +86,8 @@ constexpr CounterRow kCounterTable[] = {
      &S::fallbackServes},
     {Counter::Demotions, "demotions", "demotions", &S::demotions},
     {Counter::Promotions, "promotions", "promotions", &S::promotions},
+    {Counter::PoolExhausted, "pool.exhausted", nullptr, &S::poolExhausted},
+    {Counter::PayloadCopies, "payload_copies", nullptr, &S::payloadCopies},
 };
 
 constexpr bool
@@ -208,6 +210,7 @@ UdpServer::start()
     hpDev_ =
         std::make_unique<emu::EmuHyperPlane>(cfg_.numQueues, cfg_.policy);
     reqQueues_.clear();
+    serving_ = std::make_unique<std::mutex[]>(cfg_.numQueues);
     for (unsigned q = 0; q < cfg_.numQueues; ++q) {
         const auto qid = hpDev_->addQueue();
         hp_assert(qid && *qid == q, "queue registration out of order");
@@ -298,7 +301,6 @@ UdpServer::start()
             Lane &lane = lanes_[workerShard(static_cast<unsigned>(
                 emu::DataPlanePool::workerIndex()))];
             serveGrant(lane, qid, n);
-            sendReplies(lane);
         },
         cfg_.maxBatch);
     pool_->start();
@@ -381,12 +383,6 @@ UdpServer::counterSnapshot() const
             s.servedInline +=
                 counters_->shardValue(rxShard(i), Counter::Served);
     }
-    for (const auto &p : rxPools_) {
-        s.poolExhausted += p->exhausted();
-        s.payloadCopies += p->copyEvents();
-    }
-    if (rejectPool_)
-        s.poolExhausted += rejectPool_->exhausted();
     return s;
 }
 
@@ -470,8 +466,11 @@ UdpServer::rxLoop(unsigned index)
             // payload is already where the response wants it.
             while (spare.size() < cfg_.rxBatch) {
                 FrameHandle h = pool.tryAcquire();
-                if (!h)
+                if (!h) {
+                    counters.add(shard, CounterShards::noTenant,
+                                 Counter::PoolExhausted);
                     break;
+                }
                 spare.push_back(std::move(h));
             }
             const bool scratch = spare.empty();
@@ -715,8 +714,11 @@ UdpServer::shed(Lane &lane, Counter why, wire::Status status,
     // A reject normally rides the request's own frame; a null handle
     // (pool-dry scratch path) draws one from the small reserve pool so
     // exhaustion still answers typed.
-    if (!frame && rejectPool_)
+    if (!frame && rejectPool_) {
         frame = rejectPool_->tryAcquire();
+        if (!frame)
+            counters_->add(lane.shard, tenant, Counter::PoolExhausted);
+    }
     if (!frame) {
         // Reserve dry too: the only truly unanswerable case.
         counters_->add(lane.shard, tenant, Counter::PoolDrops);
@@ -752,6 +754,12 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
     telemetry::StageLatencyShards *lat = stageLat_.get();
     trace::FlightRecorder &flight = *flight_;
 
+    // One owner per queue: the grant's pops, handlers and send happen
+    // under the queue's serving lock, so the next holder pops only
+    // after this one's replies are on the wire, and each flow's replies
+    // leave in arrival order.  Only the server takes it, and never
+    // across a QWAIT or a device call.
+    std::lock_guard<std::mutex> owner(serving_[qid]);
     std::vector<Request> &reqs = lane.reqs;
     // The doorbell can over-advertise (watchdog replays, drain races);
     // serve what is actually queued.
@@ -799,6 +807,7 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
     counters_->add(shard, tenants_->tenantOfQueue(qid), Counter::Served,
                    reqs.size());
     reqs.clear();
+    sendReplies(lane);
 }
 
 UdpServer::Response
@@ -832,7 +841,8 @@ UdpServer::makeResponse(Lane &lane, QueueId qid, Request &req)
             // Encap grows the packet, so the transform result cannot
             // share bytes with its input: one counted copy-out.
             std::memcpy(framePayload, encapBuf.data(), encapBuf.size());
-            req.frame.countCopy();
+            counters_->add(lane.shard, req.tenant,
+                           Counter::PayloadCopies);
             payloadLen = static_cast<std::uint32_t>(encapBuf.size());
         } else {
             rh.status = wire::statusBadPayload;
@@ -1116,15 +1126,6 @@ UdpServer::watchdogLoop()
             }
         }
 
-        // ---- stateful app idle expiry: the watchdog drives every
-        //      handler's cross-shard sweep (handlers also expire
-        //      amortized in the data path) -----------------------------
-        {
-            const std::uint64_t sweepNs = nowNs();
-            for (auto &app : apps_)
-                app->sweepIdle(sweepNs);
-        }
-
         // ---- per-sweep telemetry: shed spikes, tenant thresholds,
         //      and flight-dump triggers -------------------------------
         // Read only the three shed rows, not whole snapshots: this runs
@@ -1222,30 +1223,14 @@ UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
             total += static_cast<double>(p->freeFrames());
         return total;
     });
-    reg.addScalar(prefix + ".pool.exhausted", [this] {
-        double total = 0;
-        for (const auto &p : rxPools_)
-            total += static_cast<double>(p->exhausted());
-        if (rejectPool_)
-            total += static_cast<double>(rejectPool_->exhausted());
-        return total;
-    });
     reg.addScalar(prefix + ".pool.reject_reserve_free", [this] {
         return rejectPool_
                    ? static_cast<double>(rejectPool_->freeFrames())
                    : 0.0;
     });
-    // The zero-copy tripwire: payload copies RX->TX.  Echo-only runs
-    // must hold this at zero; encap pays one per request by design.
-    reg.addScalar(prefix + ".payload_copies", [this] {
-        double total = 0;
-        for (const auto &p : rxPools_)
-            total += static_cast<double>(p->copyEvents());
-        return total;
-    });
 
     // Stateful app counters: server.app.<name>.* (handlers register
-    // their own; getters sum shards under the shard locks).
+    // their own single-writer cells).
     for (auto &app : apps_)
         app->registerStats(reg, prefix + ".app." + app->name());
 

@@ -23,6 +23,11 @@
  * parked worker only if grantable work remains.  Below capacity that
  * single grant covers the batch and no other thread runs; at
  * saturation the workers serve the rest, each sending its own replies.
+ * One thread serves a queue at a time: a per-queue serving lock, taken
+ * after take() and held from the pop to the send, makes each flow's
+ * replies leave in arrival order and lets the stateful apps keep their
+ * flow-sharded state without locks (the paper's in-order mode, which
+ * never grants a queue while its items are in flight).
  * Handlers are the real workloads (echo, GRE-in-IPv6 encapsulation via
  * src/net, session-affinity steering via src/workloads, stateful apps).
  *
@@ -54,6 +59,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,7 +224,7 @@ struct ServerCounterSnapshot
     std::uint64_t poolDrops = 0;
     /** Failed frame acquires across the RX pools + reject reserve. */
     std::uint64_t poolExhausted = 0;
-    /** Payload copy events on pool frames (echo path keeps this 0). */
+    /** Payload copies between RX and TX frames (echo keeps this 0). */
     std::uint64_t payloadCopies = 0;
     std::uint64_t shedRateLimited = 0;
     std::uint64_t shedWatermark = 0;
@@ -427,7 +433,10 @@ class UdpServer
 
     void rxLoop(unsigned index);
     void watchdogLoop();
-    /** Serve @p n granted items of @p qid; replies go to lane.out. */
+    /**
+     * Serve @p n granted items of @p qid and send lane.out, holding the
+     * queue's serving lock from the pop to the send.
+     */
     void serveGrant(Lane &lane, QueueId qid, std::uint64_t n);
     Response makeResponse(Lane &lane, QueueId qid, Request &req);
     /**
@@ -477,6 +486,8 @@ class UdpServer
     std::vector<std::unique_ptr<FramePool>> rxPools_;
     std::unique_ptr<FramePool> rejectPool_;
     std::vector<std::unique_ptr<queueing::MpmcQueue<Request>>> reqQueues_;
+    /** Per-queue serving locks (see serveGrant()). */
+    std::unique_ptr<std::mutex[]> serving_;
     std::unique_ptr<emu::DataPlanePool> pool_;
     /** Stateful app handlers, indexed by app::AppKind; shard == qid. */
     std::vector<std::unique_ptr<app::StatefulHandler>> apps_;

@@ -3,58 +3,31 @@
  * Sharded hot-path statistics: single-writer counters and per-stage
  * latency histograms.
  *
- * Every server counter lives in one matrix of cells: each stage thread
- * owns a cache-line-aligned block with a column per tenant, and bumps
- * its cells with a plain load+store (memory_order_relaxed, no RMW): with
- * exactly one writer per cell there is nothing to win a race against,
- * the store costs the same as an ordinary increment, and TSan stays
- * happy because the cell is still a std::atomic.  Readers aggregate
- * across shards on demand — a scrape-time cost, not a hot-path one.
+ * Every server counter lives in one matrix of stats::WriterCell cells:
+ * each stage thread owns a cache-line-aligned block with a column per
+ * tenant and is the single writer of its cells (stats/single_writer.hh).
+ * Readers aggregate across shards on demand — a scrape-time cost, not a
+ * hot-path one.
  *
- * The same single-writer discipline extends to latency histograms:
- * each shard owns geometric bins mirroring stats::LogHistogram, and
- * aggregation lifts per-shard snapshots into LogHistogram values via
- * fromParts() and merge(), so quantiles come from the full population.
+ * Latency histograms follow the same discipline: each shard owns a
+ * stats::HistogramShard per (stage, tenant), and aggregation merges
+ * their snapshots into LogHistogram values, so quantiles come from the
+ * full population.
  */
 
 #ifndef HYPERPLANE_TELEMETRY_SHARD_STATS_HH
 #define HYPERPLANE_TELEMETRY_SHARD_STATS_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <vector>
 
 #include "stats/histogram.hh"
+#include "stats/single_writer.hh"
 
 namespace hyperplane {
 namespace telemetry {
-
-/**
- * One 64-bit counter with a single designated writer.  add() performs
- * a relaxed load+store rather than a fetch_add: the cell never has two
- * writers, so the non-atomic update is race-free while the atomic type
- * guarantees readers never see a torn value.
- */
-class WriterCell
-{
-  public:
-    void add(std::uint64_t n = 1)
-    {
-        v_.store(v_.load(std::memory_order_relaxed) + n,
-                 std::memory_order_relaxed);
-    }
-
-    std::uint64_t read() const
-    {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> v_{0};
-};
 
 /**
  * The server's counters, one row each of the CounterShards matrix.  The
@@ -83,9 +56,11 @@ enum class Counter : unsigned
     FallbackServes,     ///< work served by the polled fallback path
     Demotions,          ///< queues demoted to polled mode (any cause)
     Promotions,         ///< demoted queues promoted back
+    PoolExhausted,      ///< frame-pool acquires that found no frame
+    PayloadCopies,      ///< payload copies between RX and TX frames
 };
 
-constexpr unsigned kNumCounters = 20;
+constexpr unsigned kNumCounters = 22;
 
 /**
  * The (shard x tenant column x counter) matrix of single-writer cells.
@@ -129,10 +104,10 @@ class CounterShards
 
     struct alignas(64) Line
     {
-        WriterCell cells[kCellsPerLine];
+        stats::WriterCell cells[kCellsPerLine];
     };
 
-    WriterCell &cell(unsigned shard, unsigned tenant, Counter c) const
+    stats::WriterCell &cell(unsigned shard, unsigned tenant, Counter c) const
     {
         const std::size_t i =
             shard * stride_ +
@@ -161,46 +136,6 @@ enum class ServerStage : unsigned
 constexpr unsigned kNumServerStages = 5;
 
 const char *toString(ServerStage s);
-
-/**
- * Single-writer geometric histogram shard.  record() is owner-thread
- * only; snapshot() may run from any thread and lifts the bins into a
- * stats::LogHistogram.  A concurrent snapshot can catch a record
- * mid-flight (bin bumped, sum not yet) — the result is still a valid
- * histogram, merely one sample blurry, which is fine for operational
- * quantiles.
- */
-class HistogramShard
-{
-  public:
-    HistogramShard(double base, double growth, unsigned bins);
-
-    HistogramShard(const HistogramShard &) = delete;
-    HistogramShard &operator=(const HistogramShard &) = delete;
-
-    /** Record a sample (owning thread only). */
-    void record(double v);
-
-    std::uint64_t count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    /** Consistent-enough copy as a LogHistogram (any thread). */
-    stats::LogHistogram snapshot() const;
-
-  private:
-    unsigned binFor(double v) const;
-
-    double base_;
-    double growth_;
-    double logGrowth_;
-    std::vector<std::atomic<std::uint64_t>> bins_;
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<double> sum_{0.0};
-    std::atomic<double> min_{0.0};
-    std::atomic<double> max_{0.0};
-};
 
 /**
  * The full (shard x stage x tenant) histogram matrix.  Hot-path
@@ -249,7 +184,7 @@ class StageLatencyShards
     double baseNs_;
     double growth_;
     unsigned bins_;
-    std::deque<HistogramShard> hists_;
+    std::deque<stats::HistogramShard> hists_;
 };
 
 } // namespace telemetry

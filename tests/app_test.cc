@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "app/spin_rtt.hh"
 #include "dp/sdp_system.hh"
 #include "sim/rng.hh"
+#include "stats/registry.hh"
 #include "workloads/stateful_app.hh"
 #include "workloads/workload.hh"
 
@@ -286,39 +289,73 @@ TEST(ConntrackLbApp, DataMissRecreatesAndSeqGapsCount)
 
 TEST(ConntrackLbApp, IdleEntriesExpire)
 {
+    // Expiry happens inside handle(), per shard: a request finds its
+    // own idle entry expired, and the amortized shard sweep reaps the
+    // rest of the shard.  Nothing outside the data path sweeps.
     AppConfig cfg;
     cfg.numShards = 2;
     cfg.idleTimeoutNs = 1000;
     ConntrackLbApp ct(cfg);
     std::uint8_t payload[CtRequest::wireSize];
     std::uint8_t out[64];
+    const auto send = [&](unsigned shard, std::uint32_t flow,
+                          std::uint64_t seq, std::uint64_t nowNs) {
+        encodeCt(ctRequestFor(flow, seq), payload, sizeof(payload));
+        const AppResult res = ct.handle(
+            shard, makeReq(flow, seq, nowNs, payload, sizeof(payload)),
+            out, sizeof(out));
+        EXPECT_TRUE(res.ok);
+        return decodeCtResponse(out, res.payloadLen);
+    };
 
-    encodeCt(ctRequestFor(1, 0), payload, sizeof(payload));
-    ASSERT_TRUE(ct.handle(0, makeReq(1, 0, 100, payload,
-                                     sizeof(payload)),
-                          out, sizeof(out))
-                    .ok);
-    encodeCt(ctRequestFor(2, 0), payload, sizeof(payload));
-    ASSERT_TRUE(ct.handle(1, makeReq(2, 0, 100, payload,
-                                     sizeof(payload)),
-                          out, sizeof(out))
-                    .ok);
+    send(0, 1, 0, 100);
+    send(1, 2, 0, 100);
     EXPECT_EQ(ct.activeConnections(), 2u);
 
-    ct.sweepIdle(100 + cfg.idleTimeoutNs + 1);
-    EXPECT_EQ(ct.activeConnections(), 0u);
+    // Idle for exactly the timeout: still live.
+    auto resp = send(0, 1, 1, 100 + cfg.idleTimeoutNs);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(ct.expiries(), 0u);
+    EXPECT_EQ(ct.misses(), 0u);
+
+    // Back after idling past the timeout: the entry expired, so the
+    // flow gets fresh state (a miss that re-creates it), counted as
+    // one expiry.  Shard 1 saw no traffic and still holds flow 2.
+    const std::uint64_t late = 100 + 2 * cfg.idleTimeoutNs + 1;
+    resp = send(0, 1, 2, late);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->state, 1u);
+    EXPECT_EQ(resp->expectedSeq, 3u);
+    EXPECT_EQ(ct.expiries(), 1u);
+    EXPECT_EQ(ct.misses(), 1u);
+    EXPECT_EQ(ct.opens(), 3u);
+    EXPECT_EQ(ct.activeConnections(), 2u);
+
+    // Shard 1's next request sweeps it: flow 2 expires too.
+    send(1, 3, 0, late);
     EXPECT_EQ(ct.expiries(), 2u);
+    EXPECT_EQ(ct.activeConnections(), 2u);
 }
 
 TEST(ConntrackLbApp, ShardsAreIndependentUnderConcurrency)
 {
     // Flow-sharded ownership: four threads hammer four distinct shards
-    // concurrently.  TSan gates the absence of cross-shard races; the
-    // totals gate that no shard lost updates.
+    // concurrently while a scraper reads every registry value.  TSan
+    // gates the absence of races (shards take no locks, scrapers read
+    // single-writer cells); the totals gate that no shard lost updates.
     AppConfig cfg;
     cfg.numShards = 4;
     ConntrackLbApp ct(cfg);
     constexpr int perShard = 4000;
+    stats::Registry reg;
+    ct.registerStats(reg, "conntrack");
+    std::atomic<bool> writing{true};
+    std::thread scraper([&] {
+        do {
+            for (const std::string &path : reg.paths())
+                (void)reg.value(path);
+        } while (writing.load());
+    });
 
     std::vector<std::thread> threads;
     for (unsigned shard = 0; shard < 4; ++shard) {
@@ -338,6 +375,8 @@ TEST(ConntrackLbApp, ShardsAreIndependentUnderConcurrency)
     }
     for (auto &t : threads)
         t.join();
+    writing.store(false);
+    scraper.join();
     // Each flow runs seq 0..79: Open at 0, Close at 63, re-Open at 64
     // — so two opens and one close per flow, and every flow is live at
     // the end.  Exact totals prove no shard lost an update.
@@ -345,6 +384,8 @@ TEST(ConntrackLbApp, ShardsAreIndependentUnderConcurrency)
     EXPECT_EQ(ct.closes(), 4u * 50u);
     EXPECT_EQ(ct.outOfOrder(), 0u);
     EXPECT_EQ(ct.activeConnections(), 4u * 50u);
+    EXPECT_EQ(reg.value("conntrack.opens"), 4.0 * 50 * 2);
+    EXPECT_EQ(reg.value("conntrack.active"), 4.0 * 50);
 }
 
 // ---------------------------------------------------------------------
@@ -406,8 +447,27 @@ TEST(SpinRttApp, EdgesMakeRttSamples)
     EXPECT_EQ(app.edges(), 2u);
 
     EXPECT_EQ(app.trackedFlows(), 1u);
-    app.sweepIdle(2600000 + cfg.flowTimeoutNs + 1);
-    EXPECT_EQ(app.trackedFlows(), 0u);
+
+    // Flow 10 shows up once and never returns.
+    app.handle(0, makeReq(10, 0, 2600000, payload, sizeof(payload)), out,
+               sizeof(out));
+    EXPECT_EQ(app.trackedFlows(), 2u);
+
+    // Flow 9 comes back after idling past the timeout: fresh state (no
+    // edges, no RTT), counted as one expiry.  The same request's
+    // amortized shard sweep reaps flow 10.
+    encodeSpin(1, payload, sizeof(payload));
+    res = app.handle(0, makeReq(9, 4, 2600000 + cfg.flowTimeoutNs + 1,
+                                payload, sizeof(payload)),
+                     out, sizeof(out));
+    ASSERT_TRUE(res.ok);
+    resp = decodeSpinResponse(out, res.payloadLen);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->edges, 0u);
+    EXPECT_EQ(resp->lastRttNs, 0u);
+    EXPECT_EQ(app.expiries(), 2u);
+    EXPECT_EQ(app.trackedFlows(), 1u);
+    EXPECT_EQ(app.edges(), 2u);
 
     // The histogram kept the sample even after flow expiry.
     EXPECT_EQ(app.rttHistogram().count(), 1u);

@@ -107,7 +107,7 @@ TEST(CounterShards, ConcurrentWritersNeverLoseCounts)
 
 TEST(HistogramShard, MatchesLogHistogramQuantiles)
 {
-    HistogramShard hs(100.0, 1.05, 512);
+    stats::HistogramShard hs(100.0, 1.05, 512);
     stats::LogHistogram ref(100.0, 1.05, 512);
     Rng rng(11);
     for (int i = 0; i < 10000; ++i) {
