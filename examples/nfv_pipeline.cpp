@@ -19,7 +19,7 @@
 #include "crypto/cbc.hh"
 #include "emu/emu_hyperplane.hh"
 #include "net/headers.hh"
-#include "queueing/spsc_ring.hh"
+#include "queueing/mpmc_queue.hh"
 
 using namespace hyperplane;
 
@@ -56,12 +56,12 @@ main()
                           core::ServicePolicy::WeightedRoundRobin);
 
     // Per-tenant packet rings + registered queues.
-    std::vector<std::unique_ptr<queueing::SpscRing<net::PacketBuffer>>>
+    std::vector<std::unique_ptr<queueing::MpmcQueue<net::PacketBuffer>>>
         rings;
     std::vector<QueueId> qids;
     for (unsigned t = 0; t < numTenants; ++t) {
         rings.push_back(
-            std::make_unique<queueing::SpscRing<net::PacketBuffer>>(
+            std::make_unique<queueing::MpmcQueue<net::PacketBuffer>>(
                 1024));
         qids.push_back(*hp.addQueue());
     }
@@ -128,6 +128,15 @@ main()
             t == 0 ? "premium, weight 4" : "standard",
             static_cast<unsigned long long>(processed[t]),
             bytesOut[t]);
+    }
+    for (unsigned t = 0; t < numTenants; ++t) {
+        if (processed[t] != packetsPerTenant) {
+            std::fprintf(stderr, "tenant %u: %llu of %llu packets\n", t,
+                         static_cast<unsigned long long>(processed[t]),
+                         static_cast<unsigned long long>(
+                             packetsPerTenant));
+            return 1;
+        }
     }
     return 0;
 }

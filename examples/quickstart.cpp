@@ -62,5 +62,12 @@ main()
     for (unsigned i = 0; i < numQueues; ++i)
         std::printf("  queue %u: %llu\n", i,
                     static_cast<unsigned long long>(served[i]));
+    for (unsigned i = 0; i < numQueues; ++i) {
+        if (served[i] != itemsPerQueue) {
+            std::fprintf(stderr, "queue %u served %llu items\n", i,
+                         static_cast<unsigned long long>(served[i]));
+            return 1;
+        }
+    }
     return 0;
 }

@@ -5,7 +5,9 @@
  * Runs the same packet-encapsulation scenario twice — once on the
  * spin-polling baseline and once on HyperPlane — and prints the
  * head-to-head comparison (throughput, latency, IPC, power) that the
- * paper's evaluation is built from.
+ * paper's evaluation is built from.  Exits non-zero unless both planes
+ * carry traffic and HyperPlane draws less power and wastes fewer
+ * instructions than spin-polling at light load.
  *
  * Usage: simulate_sdp [numQueues] [numCores] [--stats]
  *   --stats  dump the gem5-style per-component statistics report of
@@ -48,6 +50,9 @@ main(int argc, char **argv)
     table.header({"plane", "peak Mtps", "avg us", "p99 us", "IPC",
                   "useless IPC", "power W"});
 
+    bool carried = true;
+    dp::SdpResults spinLight, hpLight;
+
     for (const auto plane :
          {dp::PlaneKind::Spinning, dp::PlaneKind::HyperPlane}) {
         dp::SdpConfig cfg;
@@ -70,6 +75,10 @@ main(int argc, char **argv)
             std::puts("");
         }
 
+        carried = carried && peak.throughputMtps > 0.0 &&
+                  light.completions > 0;
+        (plane == dp::PlaneKind::HyperPlane ? hpLight : spinLight) = light;
+
         table.row({dp::toString(plane), stats::fmt(peak.throughputMtps),
                    stats::fmt(light.avgLatencyUs, 2),
                    stats::fmt(light.p99LatencyUs, 2),
@@ -78,5 +87,16 @@ main(int argc, char **argv)
                    stats::fmt(light.avgCorePowerW, 2)});
     }
     table.print();
+
+    if (!carried) {
+        std::fprintf(stderr, "a plane completed no tasks\n");
+        return 1;
+    }
+    if (!(hpLight.avgCorePowerW < spinLight.avgCorePowerW) ||
+        !(hpLight.uselessIpc < spinLight.uselessIpc)) {
+        std::fprintf(stderr, "HyperPlane did not beat spin-polling on "
+                             "light-load power and useless IPC\n");
+        return 1;
+    }
     return 0;
 }

@@ -17,7 +17,7 @@
 #include "codes/raid.hh"
 #include "codes/reed_solomon.hh"
 #include "emu/emu_hyperplane.hh"
-#include "queueing/spsc_ring.hh"
+#include "queueing/mpmc_queue.hh"
 #include "sim/rng.hh"
 
 using namespace hyperplane;
@@ -39,11 +39,11 @@ main()
     codes::ReedSolomon rs(6, 3);
     codes::Raid6 raid(8);
 
-    std::vector<std::unique_ptr<queueing::SpscRing<Request>>> rings;
+    std::vector<std::unique_ptr<queueing::MpmcQueue<Request>>> rings;
     std::vector<QueueId> qids;
     for (unsigned c = 0; c < numClients; ++c) {
         rings.push_back(
-            std::make_unique<queueing::SpscRing<Request>>(256));
+            std::make_unique<queueing::MpmcQueue<Request>>(256));
         qids.push_back(*hp.addQueue());
     }
 
@@ -124,5 +124,10 @@ main()
                 static_cast<unsigned long long>(verified));
     std::printf("per block: RS(6,3) Cauchy encode + RAID-6 P+Q over "
                 "%zu bytes\n", blockBytes);
+    if (encoded != numClients * requestsPerClient ||
+        verified != encoded / 50) {
+        std::fprintf(stderr, "block count mismatch\n");
+        return 1;
+    }
     return 0;
 }

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "sim/types.hh"
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 #include "trace/flight_recorder.hh"
 
 namespace hyperplane {
@@ -86,8 +86,8 @@ class MonitoringSet
      * QWAIT-ADD: associate @p doorbell with @p qid and arm it.
      *
      * Duplicate registrations and Cuckoo conflicts are reported
-     * separately (and counted separately) so the driver's reallocation
-     * loop only retries the case a fresh address can fix.
+     * separately (and counted separately): only a conflict can be fixed
+     * by a fresh address.
      */
     InsertResult insert(Addr doorbell, QueueId qid);
 

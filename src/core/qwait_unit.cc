@@ -47,28 +47,6 @@ QwaitUnit::qwaitAdd(QueueId qid, Addr doorbell)
     return AddResult::Ok;
 }
 
-std::optional<Addr>
-QwaitUnit::addQueueWithRealloc(QueueId qid,
-                               const std::function<Addr()> &allocate,
-                               unsigned maxTries)
-{
-    for (unsigned attempt = 0; attempt < maxTries; ++attempt) {
-        const Addr doorbell = allocate();
-        switch (qwaitAdd(qid, doorbell)) {
-          case AddResult::Ok:
-            return lineBase(doorbell);
-          case AddResult::DuplicateQid:
-            // No address can fix a bound qid; spinning the allocator
-            // would only burn the retry budget.
-            return std::nullopt;
-          case AddResult::Conflict:
-          case AddResult::DuplicateAddr:
-            break; // draw a fresh address and retry
-        }
-    }
-    return std::nullopt;
-}
-
 bool
 QwaitUnit::qwaitRemove(QueueId qid)
 {

@@ -6,8 +6,9 @@
  *
  * Instruction mapping:
  *  - QWAIT_init       -> constructor + MemorySystem::watchRange
- *  - QWAIT-ADD        -> qwaitAdd() (with the driver's reallocation loop
- *                        available via addQueueWithRealloc())
+ *  - QWAIT-ADD        -> qwaitAdd() (the simulator binds each queue at
+ *                        its fixed AddressMap doorbell; a conflict
+ *                        demotes the queue instead of redrawing it)
  *  - QWAIT-REMOVE     -> qwaitRemove()
  *  - QWAIT            -> qwait() (returns nullopt when the caller would
  *                        halt; the wake callback fires on next arrival)
@@ -77,20 +78,10 @@ class QwaitUnit : public mem::Snooper
      * Only AddResult::Conflict (and DuplicateAddr, under an address
      * allocator that can re-draw a taken line) is worth retrying with a
      * fresh address; DuplicateQid is a caller bug or a benign re-bind.
+     * The insert is deterministic, so retrying the same address after a
+     * conflict conflicts again.
      */
     AddResult qwaitAdd(QueueId qid, Addr doorbell);
-
-    /**
-     * The driver's allocation loop from Algorithm 1: repeatedly draw a
-     * doorbell address from @p allocate until QWAIT-ADD succeeds.
-     *
-     * @param allocate Callable returning candidate doorbell addresses.
-     * @param maxTries Give up (return nullopt) after this many attempts.
-     * @return The doorbell address that was bound.
-     */
-    std::optional<Addr> addQueueWithRealloc(
-        QueueId qid, const std::function<Addr()> &allocate,
-        unsigned maxTries = 16);
 
     /** QWAIT-REMOVE: disconnect a tenant's queue. */
     bool qwaitRemove(QueueId qid);

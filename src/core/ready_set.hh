@@ -22,7 +22,7 @@
 #include "core/bitvec.hh"
 #include "core/ppa.hh"
 #include "sim/types.hh"
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 #include "trace/flight_recorder.hh"
 
 namespace hyperplane {

@@ -122,7 +122,6 @@ SdpConfig::validate() const
 
     rate01(fault.dropSnoopRate, "fault.dropSnoopRate");
     rate01(fault.delaySnoopRate, "fault.delaySnoopRate");
-    rate01(fault.addConflictRate, "fault.addConflictRate");
     rate01(fault.suppressWakeRate, "fault.suppressWakeRate");
     if (fault.delaySnoopRate > 0.0 && !(fault.delayMeanUs > 0.0))
         fail("fault.delayMeanUs must be > 0 when snoops are delayed");
@@ -149,12 +148,8 @@ SdpConfig::validate() const
 
     if (recovery.watchdog && !(recovery.watchdogPeriodUs > 0.0))
         fail("recovery.watchdogPeriodUs must be > 0");
-    if (recovery.gracefulDegradation) {
-        if (recovery.addMaxTries == 0)
-            fail("recovery.addMaxTries must be >= 1");
-        if (recovery.fallbackPollPeriod == 0)
-            fail("recovery.fallbackPollPeriod must be >= 1");
-    }
+    if (recovery.gracefulDegradation && recovery.fallbackPollPeriod == 0)
+        fail("recovery.fallbackPollPeriod must be >= 1");
 }
 
 SdpSystem::SdpSystem(const SdpConfig &cfg)
@@ -457,18 +452,12 @@ SdpSystem::build()
 void
 SdpSystem::bindQueue(core::QwaitUnit &unit, unsigned cluster, QueueId qid)
 {
-    // Algorithm 1's reallocation loop, adapted to the fixed per-queue
-    // address map: retries ride out injected conflict pressure; a
-    // genuinely full table needs demotion, not another walk.
-    const unsigned tries = std::max(1u, cfg_.recovery.addMaxTries);
-    for (unsigned t = 0; t < tries; ++t) {
-        if (faults_ && faults_->rollAddConflict())
-            continue;
-        const auto res = unit.qwaitAdd(qid, queues_[qid].doorbellAddr());
-        if (res == core::AddResult::Ok)
-            return;
-        if (res != core::AddResult::Conflict)
-            break; // duplicate: no retry can fix it
+    // Algorithm 1's QWAIT-ADD at the queue's fixed AddressMap doorbell.
+    // The insert is deterministic, so a retry would hit the same
+    // conflict: a table that cannot hold the queue needs demotion.
+    if (unit.qwaitAdd(qid, queues_[qid].doorbellAddr()) ==
+        core::AddResult::Ok) {
+        return;
     }
     if (cfg_.recovery.gracefulDegradation && fallbacks_[cluster]) {
         fallbacks_[cluster]->add(qid);
@@ -904,9 +893,8 @@ SdpSystem::registerStats()
     if (faults_) {
         reg.addGroup("fault",
                      {faults_->snoopsDropped, faults_->harmlessDrops,
-                      faults_->snoopsDelayed,
-                      faults_->forcedAddConflicts,
-                      faults_->wakesSuppressed, faults_->spuriousInjected,
+                      faults_->snoopsDelayed, faults_->wakesSuppressed,
+                      faults_->spuriousInjected,
                       faults_->stormWrites, faults_->lostInjected,
                       faults_->watchdogRecovered,
                       faults_->selfRecovered});

@@ -305,7 +305,7 @@ class SdpSystem
     void deliverSnoop(mem::Snooper *target, Addr line, CoreId writer);
     /** Snoop-path interposition: drop / delay / deliver + ledger. */
     bool interposeSnoop(Addr line, CoreId writer, mem::Snooper *target);
-    /** Bind one queue with retries; demote on exhaustion. */
+    /** Bind one queue with one QWAIT-ADD; demote on failure. */
     void bindQueue(core::QwaitUnit &unit, unsigned cluster, QueueId qid);
     void scheduleSpuriousWake();
     void scheduleStormBurst();

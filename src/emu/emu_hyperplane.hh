@@ -49,8 +49,8 @@
 
 #include "core/ready_set.hh"
 #include "sim/types.hh"
+#include "stats/counter.hh"
 #include "stats/registry.hh"
-#include "stats/sampler.hh"
 
 namespace hyperplane {
 namespace emu {

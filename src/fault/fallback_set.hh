@@ -3,13 +3,13 @@
  * The software-polled fallback set: queues the monitoring set could not
  * (or should not) hold.
  *
- * When QWAIT-ADD exhausts its reallocation budget — Cuckoo conflicts,
- * capacity exhaustion, or injected pressure — graceful degradation
- * demotes the queue here instead of failing.  HyperPlane cores sweep the
- * set with a bounded-period software poll (the DPDK-style tight loop),
- * so a demoted queue keeps making progress at polling latency instead
- * of stranding.  The watchdog retries QWAIT-ADD for demoted queues and
- * promotes them back once monitoring-set capacity frees.
+ * When QWAIT-ADD fails — a Cuckoo conflict or capacity exhaustion —
+ * graceful degradation demotes the queue here instead of failing.
+ * HyperPlane cores sweep the set with a bounded-period software poll
+ * (the DPDK-style tight loop), so a demoted queue keeps making progress
+ * at polling latency instead of stranding.  The watchdog retries
+ * QWAIT-ADD for demoted queues and promotes them back once
+ * monitoring-set capacity frees.
  *
  * Membership is kept in an insertion-ordered vector: sweeps iterate it
  * deterministically and the sets stay small (demotion is the exception,
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "sim/types.hh"
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 
 namespace hyperplane {
 namespace fault {

@@ -10,7 +10,6 @@ namespace {
 /** Per-concern stream tweaks (decorrelate the Rng streams). */
 constexpr std::uint64_t dropTweak = 0xd409d409d409d409ULL;
 constexpr std::uint64_t delayTweak = 0xde1aede1aede1aedULL;
-constexpr std::uint64_t conflictTweak = 0xc0f11c7c0f11c7c0ULL;
 constexpr std::uint64_t suppressTweak = 0x5a99e555a99e555aULL;
 constexpr std::uint64_t spuriousTweak = 0x59a210c559a210c5ULL;
 constexpr std::uint64_t stormTweak = 0x57042b57042b5704ULL;
@@ -19,7 +18,6 @@ constexpr std::uint64_t stormTweak = 0x57042b57042b5704ULL;
 
 FaultInjector::FaultInjector(const FaultPlan &plan, std::uint64_t seed)
     : plan_(plan), dropRng_(seed ^ dropTweak), delayRng_(seed ^ delayTweak),
-      conflictRng_(seed ^ conflictTweak),
       suppressRng_(seed ^ suppressTweak),
       spuriousRng_(seed ^ spuriousTweak), stormRng_(seed ^ stormTweak)
 {
@@ -48,17 +46,6 @@ FaultInjector::rollDelaySnoop()
     snoopsDelayed.inc();
     const double us = delayRng_.exponential(plan_.delayMeanUs);
     return std::max<Tick>(1, usToTicks(us));
-}
-
-bool
-FaultInjector::rollAddConflict()
-{
-    if (plan_.addConflictRate <= 0.0)
-        return false;
-    if (!conflictRng_.chance(plan_.addConflictRate))
-        return false;
-    forcedAddConflicts.inc();
-    return true;
 }
 
 bool

@@ -2,10 +2,10 @@
  * @file
  * Seeded, deterministic fault injector.
  *
- * Each fault concern (snoop drops, snoop delays, forced conflicts, wake
- * suppression, spurious wakes, storms) draws from its own Rng stream, so
- * enabling one dimension does not perturb the draw sequence of another
- * and a fixed (plan, seed) pair reproduces a campaign bit-for-bit.
+ * Each fault concern (snoop drops, snoop delays, wake suppression,
+ * spurious wakes, storms) draws from its own Rng stream, so enabling one
+ * dimension does not perturb the draw sequence of another and a fixed
+ * (plan, seed) pair reproduces a campaign bit-for-bit.
  *
  * The injector also keeps the lost-notification ledger: a queue enters
  * the lost set when a snoop that would have armed->activated it is
@@ -26,7 +26,7 @@
 #include "fault/fault_plan.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 
 namespace hyperplane {
 namespace fault {
@@ -45,9 +45,6 @@ class FaultInjector
 
     /** Should this doorbell snoop be delayed?  Returns the delay. */
     std::optional<Tick> rollDelaySnoop();
-
-    /** Should this QWAIT-ADD attempt be forced to conflict? */
-    bool rollAddConflict();
 
     /** Should this wake callback be swallowed? */
     bool rollSuppressWake();
@@ -94,7 +91,6 @@ class FaultInjector
     /** Drops that hit an unarmed/unmonitored line (no work lost). */
     stats::Counter harmlessDrops{"harmless_drops"};
     stats::Counter snoopsDelayed{"snoops_delayed"};
-    stats::Counter forcedAddConflicts{"forced_add_conflicts"};
     stats::Counter wakesSuppressed{"wakes_suppressed"};
     stats::Counter spuriousInjected{"spurious_wakes_injected"};
     stats::Counter stormWrites{"storm_doorbell_writes"};
@@ -106,7 +102,6 @@ class FaultInjector
     FaultPlan plan_;
     Rng dropRng_;
     Rng delayRng_;
-    Rng conflictRng_;
     Rng suppressRng_;
     Rng spuriousRng_;
     Rng stormRng_;

@@ -4,8 +4,8 @@
  * recovery knobs (RecoveryConfig).
  *
  * A FaultPlan lists the failure modes a run injects — lost or delayed
- * doorbell snoops, forced monitoring-set conflicts, suppressed or
- * spurious wake-ups, and doorbell storms from a misbehaving tenant.
+ * doorbell snoops, suppressed or spurious wake-ups, and doorbell storms
+ * from a misbehaving tenant.
  * All rates are probabilities per opportunity (or events per second for
  * the free-running injectors) and all draws come from seeded per-concern
  * Rng streams inside FaultInjector, so a campaign is bit-reproducible.
@@ -33,9 +33,6 @@ struct FaultPlan
     double delaySnoopRate = 0.0;
     /** Mean of the exponential snoop-delay distribution, microseconds. */
     double delayMeanUs = 2.0;
-    /** Probability a QWAIT-ADD attempt is forced to report a conflict
-     *  (models monitoring-set pressure from other tenants). */
-    double addConflictRate = 0.0;
     /** Probability a wake callback to the cores is swallowed. */
     double suppressWakeRate = 0.0;
     /** Rate of spurious ready-set activations, events per second. */
@@ -54,8 +51,8 @@ struct FaultPlan
     any() const
     {
         return dropSnoopRate > 0.0 || delaySnoopRate > 0.0 ||
-               addConflictRate > 0.0 || suppressWakeRate > 0.0 ||
-               spuriousWakesPerSec > 0.0 || stormRatePerSec > 0.0;
+               suppressWakeRate > 0.0 || spuriousWakesPerSec > 0.0 ||
+               stormRatePerSec > 0.0;
     }
 };
 
@@ -72,8 +69,6 @@ struct RecoveryConfig
      * retries promotion once capacity frees.
      */
     bool gracefulDegradation = false;
-    /** QWAIT-ADD reallocation attempts before demotion. */
-    unsigned addMaxTries = 8;
     /** Fallback-set software polling period, core cycles. */
     Tick fallbackPollPeriod = 3000;
     /**

@@ -103,8 +103,6 @@ Watchdog::sweepCluster(WatchdogCluster &c)
     if (c.fallback != nullptr && !c.fallback->empty()) {
         const std::vector<QueueId> demoted = c.fallback->queues();
         for (QueueId qid : demoted) {
-            if (injector_ != nullptr && injector_->rollAddConflict())
-                continue; // injected pressure still holds the slot
             if (c.unit->qwaitAdd(qid, queues_[qid].doorbellAddr()) !=
                 core::AddResult::Ok) {
                 continue;

@@ -28,7 +28,7 @@
 #include "fault/fault_plan.hh"
 #include "queueing/task_queue.hh"
 #include "sim/event_queue.hh"
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 #include "trace/flight_recorder.hh"
 
 namespace hyperplane {
@@ -54,8 +54,7 @@ class Watchdog
   public:
     /**
      * @param injector May be null (watchdog without fault injection);
-     *                 used for the lost ledger and to keep promotion
-     *                 retries subject to injected conflict pressure.
+     *                 used for the lost ledger.
      */
     Watchdog(EventQueue &eq, queueing::QueueSet &queues,
              std::vector<WatchdogCluster> clusters,

@@ -16,7 +16,7 @@
 
 #include "mem/huge_alloc.hh"
 #include "sim/types.hh"
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 
 namespace hyperplane {
 namespace mem {

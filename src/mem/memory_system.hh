@@ -39,7 +39,7 @@
 #include "mem/huge_alloc.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 #include "trace/flight_recorder.hh"
 
 namespace hyperplane {

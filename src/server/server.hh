@@ -74,8 +74,8 @@
 #include "server/udp_socket.hh"
 #include "server/wire.hh"
 #include "sim/rng.hh"
+#include "stats/counter.hh"
 #include "stats/registry.hh"
-#include "stats/sampler.hh"
 #include "telemetry/event_log.hh"
 #include "telemetry/metrics_server.hh"
 #include "telemetry/shard_stats.hh"

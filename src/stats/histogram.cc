@@ -8,104 +8,6 @@
 namespace hyperplane {
 namespace stats {
 
-Histogram::Histogram(double lo, double hi, unsigned bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / bins), bins_(bins, 0)
-{
-    hp_assert(hi > lo, "histogram range empty");
-    hp_assert(bins > 0, "histogram needs at least one bin");
-}
-
-void
-Histogram::record(double v)
-{
-    recordN(v, 1);
-}
-
-void
-Histogram::recordN(double v, std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    count_ += n;
-    sum_ += v * static_cast<double>(n);
-    if (v < lo_) {
-        underflow_ += n;
-    } else if (v >= hi_) {
-        overflow_ += n;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= bins_.size())
-            idx = bins_.size() - 1; // guard fp rounding at the top edge
-        bins_[idx] += n;
-    }
-}
-
-double
-Histogram::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1));
-    std::uint64_t seen = 0;
-    if (target < underflow_)
-        return min_;
-    seen = underflow_;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        if (seen + bins_[i] > target) {
-            // Interpolate within the bin assuming uniform density.
-            const double frac = bins_[i] == 0
-                ? 0.0
-                : static_cast<double>(target - seen) /
-                      static_cast<double>(bins_[i]);
-            return binLow(i) + frac * width_;
-        }
-        seen += bins_[i];
-    }
-    return max_;
-}
-
-void
-Histogram::clear()
-{
-    std::fill(bins_.begin(), bins_.end(), 0);
-    count_ = underflow_ = overflow_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
-
-std::vector<std::pair<double, double>>
-Histogram::cdf() const
-{
-    std::vector<std::pair<double, double>> out;
-    if (count_ == 0)
-        return out;
-    std::uint64_t cum = underflow_;
-    const auto total = static_cast<double>(count_);
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        if (bins_[i] == 0)
-            continue;
-        cum += bins_[i];
-        out.emplace_back(binLow(static_cast<unsigned>(i)) + width_,
-                         static_cast<double>(cum) / total);
-    }
-    if (overflow_ > 0)
-        out.emplace_back(max_, 1.0);
-    return out;
-}
-
 LogHistogram::LogHistogram(double base, double growth, unsigned bins)
     : base_(base), logGrowth_(std::log(growth)), growth_(growth),
       bins_(bins, 0)

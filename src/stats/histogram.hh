@@ -1,13 +1,9 @@
 /**
  * @file
- * Histograms for latency and value distributions.
- *
- * Two flavours:
- *  - Histogram: fixed-width linear bins over a configured range, with
- *    overflow/underflow buckets.
- *  - LogHistogram: geometrically spaced bins (HDR-style), suitable for
- *    tail-latency measurement across several orders of magnitude with
- *    bounded relative error.
+ * Histogram for latency and value distributions: LogHistogram has
+ * geometrically spaced bins (HDR-style), suitable for tail-latency
+ * measurement across several orders of magnitude with bounded relative
+ * error.
  */
 
 #ifndef HYPERPLANE_STATS_HISTOGRAM_HH
@@ -19,69 +15,6 @@
 
 namespace hyperplane {
 namespace stats {
-
-/** Linear-bin histogram over [lo, hi). */
-class Histogram
-{
-  public:
-    /**
-     * @param lo   Lower bound of the binned range.
-     * @param hi   Upper bound of the binned range; must exceed @p lo.
-     * @param bins Number of equal-width bins; must be > 0.
-     */
-    Histogram(double lo, double hi, unsigned bins);
-
-    /** Record one sample. */
-    void record(double v);
-
-    /** Record @p n identical samples. */
-    void recordN(double v, std::uint64_t n);
-
-    /** Total number of recorded samples. */
-    std::uint64_t count() const { return count_; }
-
-    /** Mean of all recorded samples (exact, not binned). */
-    double mean() const;
-
-    /** Minimum / maximum recorded sample. Valid only if count() > 0. */
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    /**
-     * Value at quantile @p q in [0, 1], interpolated within the bin.
-     * Samples in the overflow bucket report as max().
-     */
-    double quantile(double q) const;
-
-    /** Reset to empty. */
-    void clear();
-
-    /** Number of samples below lo / at or above hi. */
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-
-    /** Per-bin counts (for CDF export). */
-    const std::vector<std::uint64_t> &bins() const { return bins_; }
-
-    /** Lower edge of bin @p i. */
-    double binLow(unsigned i) const { return lo_ + i * width_; }
-
-    /**
-     * Export a CDF as (value, cumulative-fraction) pairs, one point per
-     * non-empty bin edge.
-     */
-    std::vector<std::pair<double, double>> cdf() const;
-
-  private:
-    double lo_, hi_, width_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t count_ = 0;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Geometric-bin histogram: bin i covers [base * growth^i, base *

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 
 namespace hyperplane {
 namespace stats {

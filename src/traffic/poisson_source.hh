@@ -20,7 +20,7 @@
 #include "queueing/task_queue.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "stats/sampler.hh"
+#include "stats/counter.hh"
 
 namespace hyperplane {
 namespace traffic {

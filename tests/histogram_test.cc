@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the linear and log-scale histograms.
+ * Unit tests for the log-scale histogram.
  */
 
 #include <gtest/gtest.h>
@@ -11,87 +11,6 @@
 namespace hyperplane {
 namespace stats {
 namespace {
-
-TEST(Histogram, EmptyReportsZeros)
-{
-    Histogram h(0, 100, 10);
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.0);
-}
-
-TEST(Histogram, MeanIsExactNotBinned)
-{
-    Histogram h(0, 100, 4); // very coarse bins
-    h.record(1.5);
-    h.record(2.5);
-    EXPECT_DOUBLE_EQ(h.mean(), 2.0);
-}
-
-TEST(Histogram, MinMaxTracked)
-{
-    Histogram h(0, 100, 10);
-    h.record(7);
-    h.record(93);
-    h.record(42);
-    EXPECT_DOUBLE_EQ(h.min(), 7.0);
-    EXPECT_DOUBLE_EQ(h.max(), 93.0);
-}
-
-TEST(Histogram, UnderOverflowCounted)
-{
-    Histogram h(10, 20, 10);
-    h.record(5);
-    h.record(15);
-    h.record(25);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(Histogram, MedianOfUniformData)
-{
-    Histogram h(0, 1000, 1000);
-    for (int i = 0; i < 1000; ++i)
-        h.record(i);
-    EXPECT_NEAR(h.quantile(0.5), 500.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.99), 990.0, 2.0);
-}
-
-TEST(Histogram, RecordNEquivalentToRepeats)
-{
-    Histogram a(0, 10, 10), b(0, 10, 10);
-    a.recordN(5.0, 100);
-    for (int i = 0; i < 100; ++i)
-        b.record(5.0);
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_DOUBLE_EQ(a.quantile(0.5), b.quantile(0.5));
-}
-
-TEST(Histogram, ClearResets)
-{
-    Histogram h(0, 10, 10);
-    h.record(5);
-    h.clear();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.underflow(), 0u);
-}
-
-TEST(Histogram, CdfMonotoneAndEndsAtOne)
-{
-    Histogram h(0, 100, 50);
-    Rng rng(1);
-    for (int i = 0; i < 1000; ++i)
-        h.record(rng.uniform(0, 100));
-    const auto cdf = h.cdf();
-    ASSERT_FALSE(cdf.empty());
-    double prev = 0.0;
-    for (const auto &[v, f] : cdf) {
-        EXPECT_GE(f, prev);
-        prev = f;
-    }
-    EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
 
 TEST(LogHistogram, QuantileRelativeErrorBounded)
 {

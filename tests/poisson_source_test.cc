@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests for the Poisson traffic source and the load controller.
+ * Unit tests for the Poisson traffic source.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
-#include "traffic/load_controller.hh"
 #include "traffic/poisson_source.hh"
 
 namespace hyperplane {
@@ -140,27 +139,6 @@ TEST(PoissonSource, DeviceWritesReachMemorySystem)
     src.start();
     eq.run(usToTicks(2000.0));
     EXPECT_EQ(mem.writeTransactions.value(), src.generated());
-}
-
-TEST(LoadController, MapsLoadFractionToRate)
-{
-    LoadController lc(2e6);
-    EXPECT_DOUBLE_EQ(lc.rateForLoad(0.5), 1e6);
-    EXPECT_DOUBLE_EQ(lc.rateForLoad(1.0), 2e6);
-}
-
-TEST(LoadController, ZeroLoadFlooredAboveZero)
-{
-    LoadController lc(1e6);
-    EXPECT_GT(lc.rateForLoad(0.0), 0.0);
-}
-
-TEST(LoadController, AnalyticCapacityScalesWithCores)
-{
-    const double one = LoadController::analyticCapacity(1, 3000.0);
-    const double four = LoadController::analyticCapacity(4, 3000.0);
-    EXPECT_DOUBLE_EQ(four, 4.0 * one);
-    EXPECT_NEAR(one, 1e6, 1.0); // 3 GHz / 3000 cycles
 }
 
 } // namespace

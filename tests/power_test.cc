@@ -1,11 +1,11 @@
 /**
  * @file
- * Unit tests for the core power model and the C-state machine.
+ * Unit tests for the core power model.
  */
 
 #include <gtest/gtest.h>
 
-#include "power/cstate.hh"
+#include "power/core_power.hh"
 
 namespace hyperplane {
 namespace power {
@@ -72,52 +72,6 @@ TEST(CorePower, C1IdleNearSixteenPercentOfSaturation)
     CorePowerModel m;
     const double satPower = m.activePowerW(1.1);
     EXPECT_NEAR(m.haltPowerW(true) / satPower, 0.162, 0.015);
-}
-
-TEST(CState, RunHaltAccountsIntervals)
-{
-    CorePowerModel power;
-    CStateMachine cs(power, /*useC1=*/false);
-    cs.run(0, 2.0);
-    cs.halt(1000);
-    EXPECT_EQ(cs.state(), CState::C0Halt);
-    const Tick lat = cs.wake(3000);
-    EXPECT_EQ(lat, 0u); // C0-halt wakes instantly
-    cs.finish(4000);
-    EXPECT_EQ(power.accountedTicks(), 4000u);
-    EXPECT_EQ(cs.halts.value(), 1u);
-}
-
-TEST(CState, C1WakeChargesLatency)
-{
-    CorePowerModel power;
-    CStateMachine cs(power, /*useC1=*/true);
-    cs.run(0, 1.0);
-    cs.halt(100);
-    EXPECT_EQ(cs.state(), CState::C1);
-    EXPECT_EQ(cs.c1Entries.value(), 1u);
-    const Tick lat = cs.wake(200);
-    EXPECT_EQ(lat, power.params().c1WakeLatency);
-    EXPECT_EQ(cs.state(), CState::C0Active);
-}
-
-TEST(CState, EnergyLowerWithC1)
-{
-    CorePowerModel pa, pb;
-    CStateMachine a(pa, false), b(pb, true);
-    const Tick t = usToTicks(100.0);
-    a.halt(0);
-    b.halt(0);
-    a.finish(t);
-    b.finish(t);
-    EXPECT_LT(pb.energyJ(), pa.energyJ());
-}
-
-TEST(CState, NamesReadable)
-{
-    EXPECT_STREQ(toString(CState::C0Active), "C0-active");
-    EXPECT_STREQ(toString(CState::C0Halt), "C0-halt");
-    EXPECT_STREQ(toString(CState::C1), "C1");
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the statistics registry and SdpSystem::dumpStats.
+ * Unit tests for the counter, the statistics registry and
+ * SdpSystem::dumpStats.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +14,23 @@
 #include "dp/sdp_system.hh"
 #include "json_check.hh"
 #include "sim/logging.hh"
+#include "stats/counter.hh"
 #include "stats/registry.hh"
 
 namespace hyperplane {
 namespace stats {
 namespace {
+
+TEST(Counter, IncrementAndName)
+{
+    Counter c("events");
+    EXPECT_EQ(c.name(), "events");
+    c.inc();
+    c.inc(9);
+    EXPECT_EQ(c.value(), 10u);
+    c.clear();
+    EXPECT_EQ(c.value(), 0u);
+}
 
 TEST(Registry, CountersReadAtReportTime)
 {

@@ -279,10 +279,6 @@ TEST(SdpConfigValidate, RejectsDegenerateConfigs)
         c.recovery.watchdogPeriodUs = 0.0;
     });
     expectRejected([](SdpConfig &c) {
-        c.recovery.gracefulDegradation = true;
-        c.recovery.addMaxTries = 0;
-    });
-    expectRejected([](SdpConfig &c) {
         c.numCores = 4;
         c.numQueues = 2;
         c.org = QueueOrg::ScaleOut; // fewer queues than clusters
