@@ -114,7 +114,7 @@ main(int argc, char **argv)
                 cfg.workers, cfg.numQueues);
     if (srv.metricsPort() >= 0) {
         std::printf("metrics endpoint on %s:%d  "
-                    "(/metrics /stats.json /events.json /flight.json)\n",
+                    "(/metrics /stats.json /flight.json)\n",
                     cfg.telemetry.metricsIp.c_str(), srv.metricsPort());
     }
     std::fflush(stdout);

@@ -444,8 +444,7 @@ SdpSystem::build()
     registerStats();
     if (cfg_.trace.sampleEveryUs > 0.0) {
         sampler_ = std::make_unique<trace::RegistrySampler>(
-            eq_, registry_, cfg_.trace.samplePaths,
-            usToTicks(cfg_.trace.sampleEveryUs));
+            eq_, registry_, usToTicks(cfg_.trace.sampleEveryUs));
     }
 }
 
@@ -906,8 +905,7 @@ SdpSystem::registerStats()
         reg.addGroup("watchdog",
                      {watchdog_->sweeps, watchdog_->recoveries,
                       watchdog_->earlyRecoveries, watchdog_->wakeRefires,
-                      watchdog_->promotions,
-                      watchdog_->runtimeDemotions});
+                      watchdog_->promotions});
     }
     for (unsigned c = 0; c < fallbacks_.size(); ++c) {
         if (!fallbacks_[c])

@@ -71,11 +71,6 @@ struct RecoveryConfig
     bool gracefulDegradation = false;
     /** Fallback-set software polling period, core cycles. */
     Tick fallbackPollPeriod = 3000;
-    /**
-     * Demote a queue after this many watchdog recoveries (a chronically
-     * lossy binding); 0 = never demote at runtime.
-     */
-    unsigned demoteAfterRecoveries = 0;
 
     bool enabled() const { return watchdog || gracefulDegradation; }
 };

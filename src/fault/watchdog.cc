@@ -82,20 +82,6 @@ Watchdog::sweepCluster(WatchdogCluster &c)
                 // flight and the sweep beat it to the activation.
                 earlyRecoveries.inc();
             }
-            if (cfg_.demoteAfterRecoveries > 0 && c.fallback != nullptr &&
-                ++recoveryCount_[qid] >= cfg_.demoteAfterRecoveries) {
-                // Chronically lossy binding: give up on the hardware
-                // path and poll it in software instead.
-                c.unit->qwaitRemove(qid);
-                c.fallback->add(qid);
-                runtimeDemotions.inc();
-                recoveryCount_.erase(qid);
-                if (tracer_) {
-                    tracer_->stamp(0, trace::Stage::Demotion,
-                                   trace::Phase::Instant,
-                                   trace::trackWatchdog, eq_.now(), qid);
-                }
-            }
         }
     }
 

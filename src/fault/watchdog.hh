@@ -9,17 +9,15 @@
  * runs the QWAIT-VERIFY predicate over every bound queue and replays the
  * missing activation when it finds that state.  It also (a) retries
  * QWAIT-ADD for queues demoted to the software-polled fallback set,
- * promoting them back once monitoring capacity frees, (b) optionally
- * demotes chronically lossy bindings after repeated recoveries, and
- * (c) re-fires the wake path when the ready set is nonempty but every
- * core slept through the (possibly suppressed) wake callback.
+ * promoting them back once monitoring capacity frees, and (b) re-fires
+ * the wake path when the ready set is nonempty but every core slept
+ * through the (possibly suppressed) wake callback.
  */
 
 #ifndef HYPERPLANE_FAULT_WATCHDOG_HH
 #define HYPERPLANE_FAULT_WATCHDOG_HH
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/qwait_unit.hh"
@@ -81,7 +79,6 @@ class Watchdog
     /** Ready-but-everyone-asleep wake re-fires. */
     stats::Counter wakeRefires{"watchdog_wake_refires"};
     stats::Counter promotions{"watchdog_promotions"};
-    stats::Counter runtimeDemotions{"watchdog_runtime_demotions"};
 
   private:
     void scheduleNext();
@@ -95,8 +92,6 @@ class Watchdog
     Tick periodTicks_;
     bool running_ = false;
     trace::FlightRecorder *tracer_ = nullptr;
-    /** Watchdog recoveries per queue (runtime-demotion threshold). */
-    std::unordered_map<QueueId, unsigned> recoveryCount_;
 };
 
 } // namespace fault

@@ -40,6 +40,12 @@ outerTemplate()
 using telemetry::Counter;
 using telemetry::CounterShards;
 
+/** Per-queue request capacity (arrivals beyond it are dropped). */
+constexpr std::size_t kQueueCapacity = 8192;
+
+/** Minimum spacing of demotion-triggered flight dumps. */
+constexpr std::uint64_t kMinDumpGapNs = 1'000'000'000;
+
 /**
  * One row of the declared counter table: a counter's exported names,
  * which give its scope, and the snapshot field it fills.
@@ -117,8 +123,7 @@ timeLeft(steady_clock::time_point deadline)
 } // namespace
 
 UdpServer::UdpServer(const ServerConfig &cfg)
-    : cfg_(cfg), eventLog_(cfg.telemetry.eventLogCapacity),
-      epoch_(steady_clock::now())
+    : cfg_(cfg), epoch_(steady_clock::now())
 {
     hp_assert(cfg_.rxThreads > 0, "need at least one RX thread");
     hp_assert(cfg_.workers > 0, "need at least one worker");
@@ -216,7 +221,7 @@ UdpServer::start()
         hp_assert(qid && *qid == q, "queue registration out of order");
         reqQueues_.push_back(
             std::make_unique<queueing::MpmcQueue<Request>>(
-                cfg_.queueCapacity));
+                kQueueCapacity));
     }
     // Per-queue WRR weights from the tenant specs, so a weighted or
     // strict-priority policy differentiates the tenants' queue groups.
@@ -261,8 +266,7 @@ UdpServer::start()
     const telemetry::TelemetryConfig &tcfg = cfg_.telemetry;
     if (tcfg.enabled) {
         stageLat_ = std::make_unique<telemetry::StageLatencyShards>(
-            numTelemetryShards(), tenants_->numTenants(),
-            tcfg.histBaseNs, tcfg.histGrowth, tcfg.histBins);
+            numTelemetryShards(), tenants_->numTenants());
     } else {
         stageLat_.reset();
     }
@@ -273,11 +277,7 @@ UdpServer::start()
         numTelemetryShards(), tcfg.recorderCapacity,
         tcfg.enabled ? std::max<std::uint64_t>(1, tcfg.stageSampleEvery)
                      : 0);
-    tenantShedPrev_.assign(tenants_->numTenants(), 0);
-    tenantShedActive_.assign(tenants_->numTenants(), 0);
-    shedPrevSweep_ = 0;
     lastDumpNs_ = 0;
-    dumpRequested_.store(false, std::memory_order_relaxed);
 
     recoveryCount_.assign(cfg_.numQueues, 0);
     cleanSweeps_.assign(cfg_.numQueues, 0);
@@ -307,13 +307,9 @@ UdpServer::start()
 
     for (unsigned i = 0; i < cfg_.rxThreads; ++i)
         rxThreads_.emplace_back([this, i] { rxLoop(i); });
-    if (cfg_.fault.watchdogEnabled) {
-        watchdogRunning_.store(true);
-        watchdogThread_ = std::thread([this] { watchdogLoop(); });
-    }
+    watchdogRunning_.store(true);
+    watchdogThread_ = std::thread([this] { watchdogLoop(); });
 
-    eventLog_.post(telemetry::OpEventKind::Startup, nowNs(), ~0u,
-                   port_, "pid-local server start");
     if (tcfg.metricsPort >= 0) {
         selfReg_ = std::make_unique<stats::Registry>();
         registerStats(*selfReg_);
@@ -533,8 +529,7 @@ UdpServer::rxLoop(unsigned index)
                 key.dstIp = boundIp_;
                 key.srcPort = ntohs(peer.sin_port);
                 key.dstPort = port_;
-                key.innerFlow =
-                    cfg_.steerByInnerFlow ? hdr->flowId : 0;
+                key.innerFlow = hdr->flowId;
                 const QueueId qid = tenants_->steer(key, tenant);
 
                 // Pool-dry arrivals cannot carry a frame to a worker:
@@ -991,7 +986,6 @@ UdpServer::watchdogLoop()
         fallback_.remove(qid);
         recoveryCount_[qid] = 0;
         cleanSweeps_[qid] = 0;
-        eventLog_.post(telemetry::OpEventKind::Promotion, nowNs(), qid);
         fstamp(trace::Stage::Promotion, qid);
         counters.add(shard, owner, Counter::Promotions);
     };
@@ -1040,12 +1034,6 @@ UdpServer::watchdogLoop()
                 demotedThisSweep = true;
                 counters.add(shard, owner, Counter::Demotions);
                 counters.add(shard, owner, Counter::StormDemotions);
-                eventLog_.post(
-                    telemetry::OpEventKind::StormDemotion, nowNs(),
-                    qid, ringDelta,
-                    owner != TenantTable::invalidTenant
-                        ? "tenant=" + tenants_->name(owner)
-                        : std::string());
                 fstamp(trace::Stage::Demotion, qid, ringDelta);
                 deficitPrev_[qid] = 0;
                 continue;
@@ -1105,9 +1093,6 @@ UdpServer::watchdogLoop()
                     std::min(deficit, deficitPrev_[qid]);
                 hpDev_->ring(qid, lost);
                 counters.add(shard, owner, Counter::WatchdogRecoveries);
-                eventLog_.post(
-                    telemetry::OpEventKind::RingDropRecovery, nowNs(),
-                    qid, lost);
                 fstamp(trace::Stage::WatchdogRecovery, qid, lost);
                 deficitPrev_[qid] = 0;
                 if (++recoveryCount_[qid] >=
@@ -1115,9 +1100,6 @@ UdpServer::watchdogLoop()
                     fallback_.add(qid);
                     cleanSweeps_[qid] = 0;
                     demotedThisSweep = true;
-                    eventLog_.post(telemetry::OpEventKind::Demotion,
-                                   nowNs(), qid,
-                                   recoveryCount_[qid]);
                     fstamp(trace::Stage::Demotion, qid);
                     counters.add(shard, owner, Counter::Demotions);
                 }
@@ -1126,69 +1108,24 @@ UdpServer::watchdogLoop()
             }
         }
 
-        // ---- per-sweep telemetry: shed spikes, tenant thresholds,
-        //      and flight-dump triggers -------------------------------
-        // Read only the three shed rows, not whole snapshots: this runs
-        // every sweep, and a snapshot sums every row of the matrix.
-        const auto shedOf = [](auto value) {
-            return value(Counter::ShedRateLimited) +
-                   value(Counter::ShedWatermark) +
-                   value(Counter::ShedQueueFull);
-        };
-        const std::uint64_t shedNow =
-            shedOf([&](Counter c) { return counters.total(c); });
-        const std::uint64_t shedDelta = shedNow - shedPrevSweep_;
-        shedPrevSweep_ = shedNow;
-        const bool shedSpike = cfg_.telemetry.shedSpikePerSweep > 0 &&
-                               shedDelta >
-                                   cfg_.telemetry.shedSpikePerSweep;
-        if (shedSpike) {
-            eventLog_.post(telemetry::OpEventKind::ShedSpike, nowNs(),
-                           ~0u, shedDelta);
-        }
-        for (unsigned t = 0; t < tenants_->numTenants(); ++t) {
-            const std::uint64_t tShed = shedOf(
-                [&](Counter c) { return counters.tenantTotal(t, c); });
-            const std::uint64_t tDelta = tShed - tenantShedPrev_[t];
-            tenantShedPrev_[t] = tShed;
-            if (tDelta > 0 && !tenantShedActive_[t]) {
-                eventLog_.post(telemetry::OpEventKind::ShedThreshold,
-                               nowNs(), ~0u, tDelta,
-                               "tenant=" + tenants_->name(t));
-            }
-            tenantShedActive_[t] = tDelta > 0 ? 1 : 0;
-        }
-
-        if (dumpRequested_.exchange(false,
-                                    std::memory_order_relaxed)) {
-            maybeFlightDump("requested", nowNs());
-        } else if (demotedThisSweep && cfg_.telemetry.dumpOnDemotion) {
-            maybeFlightDump("demotion", nowNs());
-        } else if (shedSpike) {
-            maybeFlightDump("shed_spike", nowNs());
-        }
+        if (demotedThisSweep)
+            maybeFlightDump(nowNs());
     }
 }
 
 void
-UdpServer::maybeFlightDump(const char *reason, std::uint64_t ns)
+UdpServer::maybeFlightDump(std::uint64_t ns)
 {
     if (!flight_ || !flight_->enabled())
         return;
-    const auto minGapNs = static_cast<std::uint64_t>(
-        cfg_.telemetry.minDumpIntervalSec * 1e9);
-    if (lastDumpNs_ != 0 && ns - lastDumpNs_ < minGapNs)
+    if (lastDumpNs_ != 0 && ns - lastDumpNs_ < kMinDumpGapNs)
         return;
     lastDumpNs_ = ns;
     const std::uint64_t n =
         flightDumps_.fetch_add(1, std::memory_order_relaxed);
     const std::string path = cfg_.telemetry.flightDumpPrefix + "_" +
                              std::to_string(n) + ".json";
-    const bool ok = dumpFlightTrace(path);
-    eventLog_.post(telemetry::OpEventKind::FlightDump, ns, ~0u, n,
-                   std::string(reason) + " -> " + path +
-                       (ok ? "" : " (write failed)"));
-    if (!ok)
+    if (!dumpFlightTrace(path))
         hp_warn("UdpServer: flight dump to '%s' failed", path.c_str());
 }
 
@@ -1261,9 +1198,6 @@ UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
     });
     reg.addScalar(prefix + ".telemetry.flight_dumps", [this] {
         return static_cast<double>(flightDumps());
-    });
-    reg.addScalar(prefix + ".telemetry.events_posted", [this] {
-        return static_cast<double>(eventLog_.posted());
     });
     reg.addScalar(prefix + ".telemetry.metrics_requests", [this] {
         return metrics_
@@ -1351,9 +1285,7 @@ UdpServer::stageLatency(telemetry::ServerStage st) const
 {
     if (stageLat_)
         return stageLat_->aggregate(st);
-    return stats::LogHistogram(cfg_.telemetry.histBaseNs,
-                               cfg_.telemetry.histGrowth,
-                               cfg_.telemetry.histBins);
+    return telemetry::StageLatencyShards::emptyHistogram();
 }
 
 stats::LogHistogram
@@ -1362,50 +1294,14 @@ UdpServer::stageLatency(telemetry::ServerStage st,
 {
     if (stageLat_ && tenant < stageLat_->numTenants())
         return stageLat_->aggregate(st, tenant);
-    return stats::LogHistogram(cfg_.telemetry.histBaseNs,
-                               cfg_.telemetry.histGrowth,
-                               cfg_.telemetry.histBins);
+    return telemetry::StageLatencyShards::emptyHistogram();
 }
 
 std::string
 UdpServer::flightTraceJson() const
 {
-    std::vector<trace::TraceEvent> events;
-    if (flight_)
-        events = flight_->snapshot();
-    // Overlay the operational events the flight recorder does not
-    // stamp itself (the watchdog already stamps demotions, promotions,
-    // and recoveries) so the Perfetto view shows the incident timeline
-    // next to the sampled request spans.
-    for (const auto &e : eventLog_.snapshot()) {
-        trace::Stage st;
-        switch (e.kind) {
-          case telemetry::OpEventKind::ShedThreshold:
-          case telemetry::OpEventKind::ShedSpike:
-            st = trace::Stage::AdmissionShed;
-            break;
-          case telemetry::OpEventKind::Startup:
-          case telemetry::OpEventKind::FlightDump:
-            st = trace::Stage::WatchdogSweep;
-            break;
-          default:
-            continue; // stamped live by the watchdog already
-        }
-        trace::TraceEvent te;
-        te.ts = nsToTicks(static_cast<double>(e.ns));
-        te.arg = e.value;
-        te.qid = e.queue == ~0u ? invalidQueueId : e.queue;
-        te.track = trace::trackWatchdog;
-        te.stage = st;
-        te.phase = trace::Phase::Instant;
-        events.push_back(te);
-    }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const trace::TraceEvent &a,
-                        const trace::TraceEvent &b) {
-                         return a.ts < b.ts;
-                     });
-    return trace::chromeTraceJson(events);
+    return trace::chromeTraceJson(
+        flight_ ? flight_->snapshot() : std::vector<trace::TraceEvent>{});
 }
 
 bool
@@ -1457,10 +1353,6 @@ UdpServer::metricsPage(const std::string &path,
         const_cast<UdpServer *>(this)->registerStats(reg);
         return reg.reportJson();
     }
-    if (path == "/events.json") {
-        contentType = "application/json";
-        return eventLog_.json();
-    }
     if (path == "/flight.json") {
         contentType = "application/json";
         return flightTraceJson();
@@ -1474,7 +1366,6 @@ UdpServer::metricsPage(const std::string &path,
         return "hyperplane udp server metrics endpoint\n"
                "  /metrics      Prometheus text exposition\n"
                "  /stats.json   full stats registry as JSON\n"
-               "  /events.json  structured operational event log\n"
                "  /flight.json  flight-recorder Perfetto trace\n"
                "  /healthz      liveness probe\n";
     }

@@ -76,7 +76,6 @@
 #include "sim/rng.hh"
 #include "stats/counter.hh"
 #include "stats/registry.hh"
-#include "telemetry/event_log.hh"
 #include "telemetry/metrics_server.hh"
 #include "telemetry/shard_stats.hh"
 #include "telemetry/telemetry_config.hh"
@@ -99,9 +98,7 @@ struct ServerFaultConfig
     /** Seed for the per-RX-thread injection streams. */
     std::uint64_t seed = 1;
 
-    /** Run the depth-vs-doorbell audit thread. */
-    bool watchdogEnabled = true;
-    /** Sweep period. */
+    /** Period of the depth-vs-doorbell audit thread's sweep. */
     double watchdogPeriodUs = 1000.0;
     /** Watchdog recoveries of a queue before demotion to polled mode. */
     unsigned demoteThreshold = 3;
@@ -161,15 +158,9 @@ struct ServerConfig
     std::uint32_t rejectReserveFrames = 512;
     /** Items a worker claims per QWAIT grant. */
     std::uint64_t maxBatch = 16;
-    /** Per-queue request capacity (arrivals beyond it are dropped). */
-    std::size_t queueCapacity = 8192;
 
     /** Service policy of the notification device. */
     core::ServicePolicy policy = core::ServicePolicy::RoundRobin;
-
-    /** Steer by 5-tuple + inner flowId (RSS-on-inner, tunnel-friendly);
-     *  false steers by outer 5-tuple alone. */
-    bool steerByInnerFlow = true;
 
     /**
      * Tenant table: classification, per-tenant token-bucket admission,
@@ -328,9 +319,6 @@ class UdpServer
     stats::LogHistogram stageLatency(telemetry::ServerStage st,
                                      unsigned tenant) const;
 
-    /** Structured operational event log (demotions, sheds, dumps). */
-    const telemetry::EventLog &eventLog() const { return eventLog_; }
-
     /** Sampled trace rings (null before start()). */
     const trace::FlightRecorder *flightRecorder() const
     {
@@ -338,25 +326,15 @@ class UdpServer
     }
 
     /**
-     * The flight recorder + event log as a Perfetto-loadable Chrome
-     * trace JSON document (what a SIGUSR1 dump writes).
+     * The flight recorder as a Perfetto-loadable Chrome trace JSON
+     * document (what a dump writes).
      */
     std::string flightTraceJson() const;
 
     /** Write flightTraceJson() to @p path. @return false on IO error. */
     bool dumpFlightTrace(const std::string &path) const;
 
-    /**
-     * Ask the watchdog to dump the flight recorder on its next sweep
-     * (async-signal-safe: a single relaxed atomic store, suitable for
-     * a SIGUSR1 handler).
-     */
-    void requestFlightDump()
-    {
-        dumpRequested_.store(true, std::memory_order_relaxed);
-    }
-
-    /** Automatic + requested flight dumps performed so far. */
+    /** Demotion-triggered flight dumps performed so far. */
     std::uint64_t flightDumps() const
     {
         return flightDumps_.load(std::memory_order_relaxed);
@@ -471,11 +449,10 @@ class UdpServer
     unsigned numTelemetryShards() const { return watchdogShard() + 1; }
 
     /**
-     * Flight-dump trigger policy (watchdog thread only): honours the
-     * rate limit, writes "<prefix>_<n>.json", posts a FlightDump
-     * event.
+     * Demotion flight dump (watchdog thread only): unless one was
+     * written less than a second ago, writes "<prefix>_<n>.json".
      */
-    void maybeFlightDump(const char *reason, std::uint64_t ns);
+    void maybeFlightDump(std::uint64_t ns);
 
     ServerConfig cfg_;
 
@@ -526,18 +503,12 @@ class UdpServer
     /// Trace rings; flight_->sampled(seq) also decides the per-request
     /// stage-histogram samples (TelemetryConfig::stageSampleEvery).
     std::unique_ptr<trace::FlightRecorder> flight_;
-    telemetry::EventLog eventLog_;
     std::unique_ptr<telemetry::MetricsServer> metrics_;
     /** Registry backing the endpoint (populated in start()). */
     std::unique_ptr<stats::Registry> selfReg_;
-    std::atomic<bool> dumpRequested_{false};
     std::atomic<std::uint64_t> flightDumps_{0};
-    /** Watchdog-thread-only dump/spike bookkeeping. */
+    /** Time of the last demotion dump (watchdog thread only). */
     std::uint64_t lastDumpNs_ = 0;
-    std::uint64_t shedPrevSweep_ = 0;
-    std::vector<std::uint64_t> tenantShedPrev_;
-    /** Edge detector for per-tenant ShedThreshold events. */
-    std::vector<std::uint8_t> tenantShedActive_;
 
     std::atomic<bool> running_{false};
     std::atomic<bool> rxRunning_{false};

@@ -64,22 +64,21 @@ CounterShards::shardValue(unsigned shard, Counter c) const
 }
 
 StageLatencyShards::StageLatencyShards(unsigned shards,
-                                       unsigned tenants, double baseNs,
-                                       double growth, unsigned bins)
-    : shards_(shards), tenants_(std::max(1u, tenants)),
-      baseNs_(baseNs), growth_(growth), bins_(bins)
+                                       unsigned tenants)
+    : shards_(shards), tenants_(std::max(1u, tenants))
 {
     hp_assert(shards > 0, "StageLatencyShards needs >= 1 shard");
     const std::size_t cells = static_cast<std::size_t>(shards_) *
                               kNumServerStages * tenants_;
     for (std::size_t i = 0; i < cells; ++i)
-        hists_.emplace_back(baseNs_, growth_, bins_);
+        hists_.emplace_back(kStageHist.baseNs, kStageHist.growth,
+                            kStageHist.bins);
 }
 
 stats::LogHistogram
 StageLatencyShards::aggregate(ServerStage st, unsigned tenant) const
 {
-    stats::LogHistogram out(baseNs_, growth_, bins_);
+    stats::LogHistogram out = emptyHistogram();
     for (unsigned s = 0; s < shards_; ++s)
         out.merge(hists_[index(s, st, tenant)].snapshot());
     return out;
@@ -88,7 +87,7 @@ StageLatencyShards::aggregate(ServerStage st, unsigned tenant) const
 stats::LogHistogram
 StageLatencyShards::aggregate(ServerStage st) const
 {
-    stats::LogHistogram out(baseNs_, growth_, bins_);
+    stats::LogHistogram out = emptyHistogram();
     for (unsigned s = 0; s < shards_; ++s) {
         for (unsigned t = 0; t < tenants_; ++t)
             out.merge(hists_[index(s, st, t)].snapshot());

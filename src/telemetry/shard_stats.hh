@@ -137,17 +137,33 @@ constexpr unsigned kNumServerStages = 5;
 
 const char *toString(ServerStage s);
 
+/** Geometry of every per-stage latency histogram (nanoseconds). */
+struct StageHistGeometry
+{
+    double baseNs;
+    double growth;
+    unsigned bins;
+};
+
+constexpr StageHistGeometry kStageHist{200.0, 1.05, 512};
+
 /**
- * The full (shard x stage x tenant) histogram matrix.  Hot-path
- * writes index straight into the owning shard's histogram; aggregation
- * merges across shards (and optionally tenants) into a LogHistogram.
+ * The full (shard x stage x tenant) histogram matrix, every cell with
+ * the kStageHist geometry.  Hot-path writes index straight into the
+ * owning shard's histogram; aggregation merges across shards (and
+ * optionally tenants) into a LogHistogram.
  */
 class StageLatencyShards
 {
   public:
-    StageLatencyShards(unsigned shards, unsigned tenants,
-                       double baseNs = 200.0, double growth = 1.05,
-                       unsigned bins = 512);
+    StageLatencyShards(unsigned shards, unsigned tenants);
+
+    /** An empty histogram with the kStageHist geometry. */
+    static stats::LogHistogram emptyHistogram()
+    {
+        return stats::LogHistogram(kStageHist.baseNs, kStageHist.growth,
+                                   kStageHist.bins);
+    }
 
     unsigned numShards() const { return shards_; }
     unsigned numTenants() const { return tenants_; }
@@ -181,9 +197,6 @@ class StageLatencyShards
 
     unsigned shards_;
     unsigned tenants_;
-    double baseNs_;
-    double growth_;
-    unsigned bins_;
     std::deque<stats::HistogramShard> hists_;
 };
 

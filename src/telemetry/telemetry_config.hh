@@ -47,9 +47,6 @@ struct TelemetryConfig
      */
     std::uint64_t stageSampleEvery = 32;
 
-    /** Structured operational event ring capacity. */
-    std::size_t eventLogCapacity = 256;
-
     /**
      * TCP+UDP port for the metrics endpoint; < 0 disables the
      * listener (default: sandboxed test environments may lack
@@ -62,27 +59,11 @@ struct TelemetryConfig
     std::string metricsIp = "127.0.0.1";
 
     /**
-     * Path prefix for automatic flight-recorder dumps; dump n writes
+     * Path prefix for the flight-recorder dumps a watchdog demotion
+     * triggers (at most one per second); dump n writes
      * "<prefix>_<n>.json" (Perfetto trace-event JSON).
      */
     std::string flightDumpPrefix = "hyperplane_flight";
-
-    /**
-     * Sheds per watchdog sweep that count as a spike and trigger an
-     * automatic flight dump (0 disables the trigger).
-     */
-    std::uint64_t shedSpikePerSweep = 0;
-
-    /** Dump the flight recorder when the watchdog demotes a queue. */
-    bool dumpOnDemotion = true;
-
-    /** Minimum spacing between automatic flight dumps. */
-    double minDumpIntervalSec = 1.0;
-
-    /** Per-stage latency histogram geometry (nanoseconds). */
-    double histBaseNs = 200.0;
-    double histGrowth = 1.05;
-    unsigned histBins = 512;
 };
 
 } // namespace telemetry

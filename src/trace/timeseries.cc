@@ -68,10 +68,8 @@ TimeSeries::writeJson(std::ostream &os) const
 
 RegistrySampler::RegistrySampler(EventQueue &eq,
                                  const stats::Registry &registry,
-                                 std::vector<std::string> paths,
                                  Tick period)
-    : eq_(eq), registry_(registry), paths_(std::move(paths)),
-      period_(std::max<Tick>(1, period))
+    : eq_(eq), registry_(registry), period_(std::max<Tick>(1, period))
 {
 }
 
@@ -80,19 +78,7 @@ RegistrySampler::start()
 {
     if (running_)
         return;
-    if (paths_.empty()) {
-        paths_ = registry_.paths();
-    } else {
-        // Unknown paths would sample as NaN forever; drop them loudly.
-        std::erase_if(paths_, [this](const std::string &p) {
-            if (registry_.has(p))
-                return false;
-            hp_warn("time-series sampler: unknown stat path '%s' "
-                    "dropped",
-                    p.c_str());
-            return true;
-        });
-    }
+    paths_ = registry_.paths();
     series_.setColumns(paths_);
     running_ = true;
     sampleOnce();

@@ -68,14 +68,12 @@ class RegistrySampler
   public:
     /**
      * @param eq       Event queue to schedule on.
-     * @param registry Registry to snapshot (must outlive the sampler).
-     * @param paths    Entries to sample; empty selects every entry at
-     *                 start() time.  Unknown paths are warned about and
-     *                 dropped.
+     * @param registry Registry to snapshot (must outlive the sampler);
+     *                 every entry registered at start() time is sampled.
      * @param period   Sampling period, ticks (>= 1).
      */
     RegistrySampler(EventQueue &eq, const stats::Registry &registry,
-                    std::vector<std::string> paths, Tick period);
+                    Tick period);
 
     /** Take the first sample and arm the periodic event. */
     void start();

@@ -12,8 +12,6 @@
 #define HYPERPLANE_TRACE_TRACE_CONFIG_HH
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace hyperplane {
 namespace trace {
@@ -25,10 +23,8 @@ struct TraceConfig
     bool enable = false;
     /** Flight-recorder capacity, events (overflow drops the oldest). */
     std::size_t bufferCapacity = 1 << 16;
-    /** Snapshot registry counters every this many us; 0 disables. */
+    /** Snapshot every registry entry every this many us; 0 disables. */
     double sampleEveryUs = 0.0;
-    /** Registry paths to sample; empty = every registered entry. */
-    std::vector<std::string> samplePaths;
 };
 
 } // namespace trace

@@ -10,9 +10,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 
+#include "json_check.hh"
 #include "server/loadgen.hh"
 #include "server/server.hh"
 #include "trace/chrome_trace.hh"
@@ -140,6 +144,9 @@ TEST(ServerLoopback, WatchdogRecoversDroppedRings)
     cfg.fault.watchdogPeriodUs = 500.0;
     cfg.fault.demoteThreshold = 2;
     cfg.telemetry.stageSampleEvery = 1;
+    // The first demotion dumps the flight recorder to <prefix>_0.json.
+    cfg.telemetry.flightDumpPrefix =
+        ::testing::TempDir() + "hp_watchdog_flight";
     UdpServer srv(cfg);
     START_OR_SKIP(srv);
 
@@ -170,6 +177,24 @@ TEST(ServerLoopback, WatchdogRecoversDroppedRings)
     const std::string json = srv.flightTraceJson();
     EXPECT_NE(json.find("snoop_dropped"), std::string::npos);
     EXPECT_NE(json.find("watchdog_recovery"), std::string::npos);
+
+    // The demotion wrote a well-formed dump that holds the demotion.
+    ASSERT_GE(srv.flightDumps(), 1u);
+    const std::string dumpPath = cfg.telemetry.flightDumpPrefix + "_0.json";
+    std::string dump;
+    {
+        std::ifstream in(dumpPath);
+        EXPECT_TRUE(in) << dumpPath;
+        dump.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    for (std::uint64_t n = 0; n < srv.flightDumps(); ++n) {
+        std::remove((cfg.telemetry.flightDumpPrefix + "_" +
+                     std::to_string(n) + ".json")
+                        .c_str());
+    }
+    EXPECT_TRUE(hyperplane::testing::jsonWellFormed(dump));
+    EXPECT_NE(dump.find("\"demotion\""), std::string::npos);
 }
 
 TEST(ServerLoopback, HealthyTrafficTriggersNoRecoveries)

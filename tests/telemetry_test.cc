@@ -27,7 +27,6 @@
 #include "sim/rng.hh"
 #include "stats/registry.hh"
 #include "telemetry/build_info.hh"
-#include "telemetry/event_log.hh"
 #include "telemetry/metrics_server.hh"
 #include "telemetry/prometheus.hh"
 #include "telemetry/shard_stats.hh"
@@ -125,7 +124,7 @@ TEST(HistogramShard, MatchesLogHistogramQuantiles)
 
 TEST(StageLatencyShards, AggregatesAcrossShardsAndTenants)
 {
-    StageLatencyShards sl(2, 2, 100.0, 1.05, 256);
+    StageLatencyShards sl(2, 2);
     // Shard 0 records tenant 0, shard 1 records tenant 1.
     for (int i = 0; i < 100; ++i) {
         sl.record(0, ServerStage::EndToEnd, 0, 1000.0);
@@ -148,33 +147,6 @@ TEST(StageLatencyShards, AggregatesAcrossShardsAndTenants)
     EXPECT_LT(t0.quantile(0.5), t1.quantile(0.5));
     EXPECT_GE(all.quantile(0.5), t0.quantile(0.5));
     EXPECT_LE(all.quantile(0.5), t1.quantile(0.5));
-}
-
-TEST(EventLog, RingEvictsOldestAndCounts)
-{
-    EventLog log(4);
-    for (int i = 0; i < 7; ++i)
-        log.post(OpEventKind::Demotion, 100 + i, i, i * 10);
-    EXPECT_EQ(log.posted(), 7u);
-    EXPECT_EQ(log.evicted(), 3u);
-    const auto snap = log.snapshot();
-    ASSERT_EQ(snap.size(), 4u);
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-        EXPECT_EQ(snap[i].ns, 103u + i);
-        EXPECT_EQ(snap[i].queue, 3u + i);
-    }
-}
-
-TEST(EventLog, JsonIsWellFormedEvenWithHostileDetail)
-{
-    EventLog log(8);
-    log.post(OpEventKind::StormDemotion, 1, 2, 3,
-             "tenant=\"quoted\"\nback\\slash");
-    log.post(OpEventKind::FlightDump, 2, ~0u, 0, "path=/tmp/x.json");
-    const std::string j = log.json();
-    EXPECT_TRUE(hyperplane::testing::JsonChecker(j).valid()) << j;
-    EXPECT_NE(j.find("storm_demotion"), std::string::npos);
-    EXPECT_NE(j.find("flight_dump"), std::string::npos);
 }
 
 TEST(Prometheus, SanitizesNamesAndEscapesLabels)

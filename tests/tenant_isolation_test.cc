@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
@@ -28,6 +29,7 @@
 #include "server/server.hh"
 #include "server/tenant.hh"
 #include "stats/registry.hh"
+#include "trace/trace.hh"
 
 namespace hyperplane {
 namespace {
@@ -508,7 +510,6 @@ const char *const kServerWideStats[] = {
     "server.stage.service_tx.p999_ns",
     "server.stage.service_tx.p99_ns",
     "server.storm_demotions",
-    "server.telemetry.events_posted",
     "server.telemetry.flight_dumps",
     "server.telemetry.flight_recorded",
     "server.telemetry.flight_sample_every",
@@ -658,6 +659,10 @@ TEST(ServerTenantLoopback, RateLimitedExcessIsShedNotLost)
 TEST(ServerTenantLoopback, StormingTenantIsDemotedAndPromoted)
 {
     server::ServerConfig sc = twoTenantConfig(2000.0);
+    // Demotions dump the flight recorder; keep the dumps out of the
+    // working directory.
+    sc.telemetry.flightDumpPrefix =
+        ::testing::TempDir() + "hp_storm_flight";
     sc.fault.doorbellRateCap = 10;
     sc.fault.stormTenant = 1;
     sc.fault.stormRingsPerBatch = 32;
@@ -683,11 +688,36 @@ TEST(ServerTenantLoopback, StormingTenantIsDemotedAndPromoted)
     EXPECT_GE(srv.counterSnapshot(1).demotions, 1u);
     EXPECT_EQ(srv.counterSnapshot(0).demotions, 0u);
 
+    // The watchdog records each incident once, as a stamp on its own
+    // track: the aggressor's queues were demoted and promoted back,
+    // the victim's never.
+    bool aggrDemoted = false, aggrPromoted = false;
+    for (const auto &e : srv.flightRecorder()->snapshot()) {
+        if (e.track != trace::trackWatchdog ||
+            (e.stage != trace::Stage::Demotion &&
+             e.stage != trace::Stage::Promotion)) {
+            continue;
+        }
+        const unsigned owner = srv.tenantTable().tenantOfQueue(e.qid);
+        EXPECT_NE(owner, 0u) << "victim queue " << e.qid;
+        if (owner == 1) {
+            aggrDemoted |= e.stage == trace::Stage::Demotion;
+            aggrPromoted |= e.stage == trace::Stage::Promotion;
+        }
+    }
+    EXPECT_TRUE(aggrDemoted);
+    EXPECT_TRUE(aggrPromoted);
+
     // Containment is not loss: both tenants' admitted traffic was
     // answered.
     EXPECT_GT(victimRep->answeredRatio, 0.99);
     EXPECT_GT(aggrRep->answeredRatio, 0.99);
     EXPECT_TRUE(srv.stop());
+    for (std::uint64_t n = 0; n < srv.flightDumps(); ++n) {
+        std::remove((sc.telemetry.flightDumpPrefix + "_" +
+                     std::to_string(n) + ".json")
+                        .c_str());
+    }
 }
 
 TEST(ServerTenantLoopback, PerTenantStatsAreRegistered)
