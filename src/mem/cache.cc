@@ -1,48 +1,25 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace hyperplane {
 namespace mem {
 
 CacheArray::CacheArray(const CacheGeometry &geom)
-    : geom_(geom), ways_(geom.sets() * geom.ways)
+    : geom_(geom), ways_(geom.ways),
+      lineShift_(static_cast<unsigned>(std::countr_zero(geom.lineBytes))),
+      setMask_(geom.sets() - 1), words_(geom.sets() * 3 * geom.ways)
 {
     hp_assert(geom.sizeBytes % (geom.ways * geom.lineBytes) == 0,
               "cache size must be a multiple of ways * line size");
-    hp_assert((geom.sets() & (geom.sets() - 1)) == 0,
+    hp_assert(std::has_single_bit(geom.lineBytes),
+              "line size must be a power of two");
+    hp_assert(std::has_single_bit(geom.sets()),
               "number of sets must be a power of two");
-}
-
-std::uint64_t
-CacheArray::setIndex(Addr addr) const
-{
-    return (addr / geom_.lineBytes) & (geom_.sets() - 1);
-}
-
-CacheArray::Way *
-CacheArray::find(Addr addr)
-{
-    const Addr tag = lineBase(addr);
-    Way *base = &ways_[setIndex(addr) * geom_.ways];
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (base[w].state() != LineState::Invalid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const CacheArray::Way *
-CacheArray::find(Addr addr) const
-{
-    return const_cast<CacheArray *>(this)->find(addr);
-}
-
-LineState
-CacheArray::state(Addr addr) const
-{
-    const Way *w = find(addr);
-    return w ? w->state() : LineState::Invalid;
+    hp_assert(words_.size() < noSlot, "cache too large for 32-bit slots");
 }
 
 void
@@ -62,54 +39,58 @@ CacheArray::setState(Addr addr, LineState st)
     w.setState(st);
 }
 
-std::optional<std::pair<Addr, LineState>>
+CacheArray::Fill
 CacheArray::insert(Addr addr, LineState st)
 {
     hp_assert(st != LineState::Invalid, "cannot insert an Invalid line");
-    if (Way *w = find(addr)) {
-        // Already resident: treat as a state update + LRU touch.
-        w->stamp(st, ++useClock_);
-        return std::nullopt;
-    }
-    Way *base = &ways_[setIndex(addr) * geom_.ways];
-    Way *victim = nullptr;
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (base[w].state() == LineState::Invalid) {
-            victim = &base[w];
-            break;
+    const std::uint64_t key = lineBase(addr) | 1;
+    const Slot base = setBase(addr);
+    const std::uint64_t *tags = &words_[base];
+    const std::uint64_t *meta = tags + ways_;
+    unsigned invalid = ways_;
+    unsigned lru = 0;
+    for (unsigned w = 0; w < ways_; ++w) {
+        if (tags[w] == key) {
+            // Already resident: treat as a state update + LRU touch.
+            stampAt(base + w, st);
+            return {base + w, std::nullopt};
         }
-        if (victim == nullptr || base[w].lastUse() < victim->lastUse())
-            victim = &base[w];
+        if (tags[w] == 0) {
+            if (invalid == ways_)
+                invalid = w;
+        } else if (meta[w] < meta[lru]) {
+            lru = w;
+        }
     }
-    std::optional<std::pair<Addr, LineState>> evicted;
-    if (victim->state() != LineState::Invalid) {
-        evicted = std::make_pair(victim->tag, victim->state());
+    // With no invalid way every way is valid, so lru is the true LRU.
+    const Slot s = base + (invalid != ways_ ? invalid : lru);
+    Fill fill{s, std::nullopt};
+    if (words_[s] != 0) {
+        fill.victim = std::make_pair(words_[s] & ~Addr{1}, stateAt(s));
         evictions.inc();
-        --resident_;
+    } else {
+        ++resident_;
     }
-    victim->tag = lineBase(addr);
-    victim->stamp(st, ++useClock_);
-    ++resident_;
-    return evicted;
+    words_[s] = key;
+    stampAt(s, st);
+    return fill;
 }
 
 LineState
 CacheArray::invalidate(Addr addr)
 {
-    Way *w = find(addr);
-    if (w == nullptr)
+    const Slot s = find(addr);
+    if (s == noSlot)
         return LineState::Invalid;
-    const LineState prior = w->state();
-    w->setState(LineState::Invalid);
+    words_[s] = 0;
     --resident_;
-    return prior;
+    return stateAt(s);
 }
 
 void
 CacheArray::flush()
 {
-    for (auto &w : ways_)
-        w.meta = 0;
+    std::fill(words_.begin(), words_.end(), 0);
     resident_ = 0;
 }
 

@@ -1,27 +1,34 @@
 /**
  * @file
- * Huge-page-backed allocator for large, randomly accessed host tables.
+ * Zero-filled, huge-page-backed arrays for large, randomly accessed host
+ * tables.
  *
- * The simulator's big flat arrays (directory hash slots, cache tag
- * arrays) are probed at random addresses on nearly every simulated
- * event.  Once the combined footprint exceeds the host's second-level
- * TLB reach (a few MB through 4 KiB pages), every probe risks a page
- * walk on top of the data-cache miss, and that cost grows with the
- * simulated core count even though the per-event *operation* count is
- * flat.  Backing allocations of 2 MiB or more with transparent huge
- * pages shrinks a multi-MB table to a handful of TLB entries.
+ * The simulator's big flat arrays (the cache tag arrays, whose LLC ways
+ * also carry the coherence directory) are probed at random addresses
+ * on nearly every simulated event.  Once the combined footprint exceeds
+ * the host's second-level TLB reach (a few MB through 4 KiB pages),
+ * every probe risks a page walk on top of the data-cache miss, and
+ * that cost grows with the simulated core count even though the
+ * per-event *operation* count is flat.  Backing arrays of 2 MiB or more
+ * with transparent huge pages shrinks a multi-MB table to a handful of
+ * TLB entries.
  *
- * Allocation sizes below one huge page, and non-Linux hosts, fall back
- * to plain malloc.  This is a host-side optimisation only: it cannot
- * change any simulated number.
+ * Those arrays are mapped fresh from the kernel, which hands out zeroed
+ * pages on first touch, so construction writes none of them: building
+ * a 16 MB-LLC machine costs no more than mapping it, and pages a run
+ * never touches are never made resident.  Smaller arrays, and non-Linux
+ * hosts, fall back to calloc.  This is a host-side optimisation only:
+ * it cannot change any simulated number.
  */
 
 #ifndef HYPERPLANE_MEM_HUGE_ALLOC_HH
 #define HYPERPLANE_MEM_HUGE_ALLOC_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -30,57 +37,101 @@
 namespace hyperplane {
 namespace mem {
 
-/** Minimal stateless allocator; huge-page-aligned above 2 MiB. */
+/**
+ * Fixed-size array of @p T, zero-filled at construction.  @p T must be
+ * an implicit-lifetime type (an integer, say) for which all-zero bytes
+ * are the value zero.  Movable, not copyable.
+ */
 template <typename T>
-struct HugePageAllocator
+class HugeArray
 {
-    using value_type = T;
-
+  public:
     static constexpr std::size_t hugeBytes = std::size_t{2} << 20;
 
-    HugePageAllocator() = default;
-
-    template <typename U>
-    HugePageAllocator(const HugePageAllocator<U> &)
+    explicit HugeArray(std::size_t n)
+        : n_(n), p_(static_cast<T *>(allocate(n * sizeof(T))))
     {
     }
 
-    T *allocate(std::size_t n)
+    ~HugeArray() { release(p_, n_ * sizeof(T)); }
+
+    HugeArray(HugeArray &&o) noexcept
+        : n_(std::exchange(o.n_, 0)), p_(std::exchange(o.p_, nullptr))
     {
-        const std::size_t bytes = n * sizeof(T);
-        void *p = nullptr;
+    }
+
+    HugeArray &operator=(HugeArray &&o) noexcept
+    {
+        std::swap(n_, o.n_);
+        std::swap(p_, o.p_);
+        return *this;
+    }
+
+    HugeArray(const HugeArray &) = delete;
+    HugeArray &operator=(const HugeArray &) = delete;
+
+    T &operator[](std::size_t i) { return p_[i]; }
+    const T &operator[](std::size_t i) const { return p_[i]; }
+    std::size_t size() const { return n_; }
+    T *begin() { return p_; }
+    T *end() { return p_ + n_; }
+
+  private:
+    static std::size_t rounded(std::size_t bytes)
+    {
+        return (bytes + hugeBytes - 1) & ~(hugeBytes - 1);
+    }
+
+    static void *allocate(std::size_t bytes)
+    {
+#if defined(__linux__)
         if (bytes >= hugeBytes) {
-            const std::size_t rounded =
-                (bytes + hugeBytes - 1) & ~(hugeBytes - 1);
-            p = std::aligned_alloc(hugeBytes, rounded);
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-            if (p != nullptr)
-                (void)::madvise(p, rounded, MADV_HUGEPAGE);
+            // Over-map by one huge page and trim both ends so the array
+            // starts on a huge-page boundary.
+            const std::size_t len = rounded(bytes);
+            void *raw = ::mmap(nullptr, len + hugeBytes,
+                               PROT_READ | PROT_WRITE,
+                               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (raw == MAP_FAILED)
+                throw std::bad_alloc{};
+            const auto lo = reinterpret_cast<std::uintptr_t>(raw);
+            const std::uintptr_t start =
+                (lo + hugeBytes - 1) & ~(hugeBytes - 1);
+            if (start > lo)
+                ::munmap(raw, start - lo);
+            const std::uintptr_t tail = start + len;
+            if (lo + len + hugeBytes > tail)
+                ::munmap(reinterpret_cast<void *>(tail),
+                         lo + len + hugeBytes - tail);
+            void *p = reinterpret_cast<void *>(start);
+#if defined(MADV_HUGEPAGE)
+            (void)::madvise(p, len, MADV_HUGEPAGE);
 #endif
+            return p;
         }
-        if (p == nullptr)
-            p = std::malloc(bytes);
+#endif
+        void *p = std::calloc(bytes > 0 ? bytes : 1, 1);
         if (p == nullptr)
             throw std::bad_alloc{};
-        return static_cast<T *>(p);
+        return p;
     }
 
-    void deallocate(T *p, std::size_t) { std::free(p); }
+    static void release(void *p, std::size_t bytes)
+    {
+        if (p == nullptr)
+            return;
+#if defined(__linux__)
+        if (bytes >= hugeBytes) {
+            ::munmap(p, rounded(bytes));
+            return;
+        }
+#endif
+        std::free(p);
+    }
+
+    std::size_t n_;
+    T *p_;
 };
-
-template <typename T, typename U>
-bool
-operator==(const HugePageAllocator<T> &, const HugePageAllocator<U> &)
-{
-    return true;
-}
-
-template <typename T, typename U>
-bool
-operator!=(const HugePageAllocator<T> &, const HugePageAllocator<U> &)
-{
-    return false;
-}
 
 } // namespace mem
 } // namespace hyperplane

@@ -8,14 +8,19 @@
  * coherent, so queue-head ping-pong between spinning cores and the
  * capacity pressure of task data emerge naturally from the model.
  *
- * Coherence queries are served by an explicit directory: a per-line
- * {sharer bitmask, owner id} index colocated with the inclusive LLC and
- * maintained on every L1 insert/state-change/invalidate/evict.  The
- * directory is a simulator-side index over state the tag arrays already
- * hold — it changes no modelled latency and no simulated number, it only
- * turns the owner/sharer/invalidate sweeps over numCores tag arrays into
- * O(1) popcount/bit-scan work so per-event simulation cost stays flat as
- * core count grows (see docs/PERFORMANCE.md).
+ * Coherence queries are served by an explicit directory kept in the
+ * inclusive LLC's ways, as real inclusive LLCs keep their core-valid bits:
+ * every L1-resident line has an LLC way, and that way's aux word holds
+ * the line's sharer set and M/E owner.  Each L1 way's aux word points
+ * back at its line's LLC slot.  An L1 miss probes the LLC set once and
+ * answers owner/sharer/invalidate queries from that slot; an L1 victim
+ * untracks through its back-pointer; an LLC victim's sharers are
+ * back-invalidated from the slot before it is refilled.  The directory
+ * is a simulator-side index over state the L1 tag arrays already hold:
+ * it changes no modelled latency and no simulated number, it only turns
+ * the owner/sharer/invalidate sweeps over numCores tag arrays into
+ * O(1) bit work so per-event simulation cost stays flat as core count
+ * grows (see docs/PERFORMANCE.md).
  *
  * Write transactions that grant exclusive ownership (GetM / upgrade) in a
  * watched address range are reported to registered Snooper objects.  This
@@ -27,16 +32,13 @@
 #ifndef HYPERPLANE_MEM_MEMORY_SYSTEM_HH
 #define HYPERPLANE_MEM_MEMORY_SYSTEM_HH
 
-#include <algorithm>
 #include <array>
 #include <bit>
-#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "mem/cache.hh"
-#include "mem/huge_alloc.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "stats/counter.hh"
@@ -100,9 +102,8 @@ constexpr CoreId deviceWriter = ~CoreId{0};
 /** Sharer-bitmask words per directory entry (64 cores each).  Sixteen
  *  words cover 1024-core configurations (ext_core_scaling's largest
  *  point).  Only the rare >=2-sharer overflow-pool records pay for the
- *  wider mask: the hash table itself stores 16-byte packed slots whose
- *  inline single-sharer form is independent of this constant, so the
- *  hottest structure in the simulator is unchanged. */
+ *  wider mask: an LLC way stores one packed word whose inline
+ *  single-sharer form is independent of this constant. */
 constexpr unsigned dirMaskWords = 16;
 
 /** Largest core count the directory's inline sharer mask can track. */
@@ -193,7 +194,7 @@ class MemorySystem
     void flushAll();
 
     /** Lines currently tracked by the coherence directory. */
-    std::uint64_t directoryLines() const { return dir_.size(); }
+    std::uint64_t directoryLines() const { return dirLines_; }
 
     /**
      * Recompute sharers/owner from the L1 tag arrays and panic on any
@@ -208,9 +209,9 @@ class MemorySystem
     stats::Counter invalidations{"invalidations_sent"};
     stats::Counter writeTransactions{"getm_transactions"};
     stats::Counter snoopHits{"snoop_matches"};
-    /** Directory index probes (owner/sharer/invalidate queries). */
+    /** Directory queries (owner/sharer/invalidate). */
     mutable stats::Counter dirLookups{"directory_lookups"};
-    /** Probes that found a tracked line. */
+    /** Queries that found the line tracked. */
     mutable stats::Counter dirHits{"directory_hits"};
 
   private:
@@ -225,22 +226,13 @@ class MemorySystem
      * One directory entry, materialized: which cores' L1s hold the
      * line, and which core (if any) holds it in M/E.  MESI guarantees
      * at most one M/E holder, so a single owner id suffices.  This is
-     * the overflow-pool and consistency-check representation; the hash
-     * table itself stores the packed form below.
+     * the overflow-pool and consistency-check representation; an LLC
+     * way stores the packed form below.
      */
     struct DirEntry
     {
         std::array<std::uint64_t, dirMaskWords> mask{};
         int owner = -1;
-
-        bool empty() const
-        {
-            for (const std::uint64_t w : mask) {
-                if (w != 0)
-                    return false;
-            }
-            return true;
-        }
 
         unsigned popcount() const
         {
@@ -251,391 +243,79 @@ class MemorySystem
         }
     };
 
-    /**
-     * Flat open-addressing hash index of directory entries, keyed by
-     * line address.  L1 tag churn drops and re-tracks entries on nearly
-     * every miss, so the node-per-entry std::unordered_map costs a
-     * malloc/free plus dependent cache misses per probe; this table
-     * colocates key and entry in one 16-byte slot, so every probe and
-     * nearly every entry update touches a single cache line.
-     *
-     * The 16-byte slot matters more than it looks: the directory for a
-     * 128-core machine tracks ~64K lines, and with a mask-array entry
-     * per slot the table outgrew the host's L2, which alone made
-     * per-event simulation cost scale with core count.  MESI lets the
-     * entry pack into one word instead: an M/E owner is always the
-     * *sole* sharer, so the overwhelmingly common popcount<=1 entry is
-     * {hasSharer, ownerValid, sharer id}, and only lines with two or
-     * more sharers in S state spill into a small side pool of full
-     * sharer-mask DirEntry records (freelist-recycled, a handful of
-     * hot queue-head lines in practice).
-     *
-     * Deletion is backward-shift (no tombstones), so load factor never
-     * degrades.  (Two designs were tried here and lost: a
-     * locality-preserving identity-style hash — the address map's
-     * dense regions alias mod the table size and linear probing
-     * clusters — and no-erase stable slots, where dead slots
-     * accumulate faster than probe chains recycle them and the table
-     * doubles past its reserved footprint.)
+    using Slot = CacheArray::Slot;
+
+    /*
+     * Packed sharer word, kept in the line's LLC aux word; zero means no
+     * L1 holds the line.  MESI lets the entry pack into one word: an
+     * M/E owner is always the *sole* sharer, so the overwhelmingly
+     * common popcount<=1 entry is {hasSharer, owned, sharer id}, and
+     * only lines with two or more sharers in S state spill into a small
+     * side pool of full sharer-mask DirEntry records (freelist-recycled,
+     * a handful of hot queue-head lines in practice): the word is then
+     * (pool index << 1) | kOverflow.
      */
-    class DirectoryIndex
+    static constexpr std::uint64_t kOverflow = 1;  ///< bit 0
+    static constexpr std::uint64_t kHasSharer = 2; ///< bit 1
+    static constexpr std::uint64_t kOwned = 4;     ///< bit 2
+    static constexpr unsigned kIdShift = 3; ///< sharer id bits 3..
+    /** Inline sharer-id field width: holds maxDirectoryCores-1. */
+    static constexpr std::uint64_t kIdMask = 0x7FF;
+    static_assert(maxDirectoryCores - 1 <= kIdMask,
+                  "inline sharer id field too narrow");
+
+    static CoreId inlineId(std::uint64_t p)
     {
-      public:
-        static constexpr std::size_t npos = ~std::size_t{0};
+        return static_cast<CoreId>((p >> kIdShift) & kIdMask);
+    }
 
-        /** Size the table for @p entries lines; stays allocation-free
-         *  until occupancy crosses half of the slot count. */
-        void reserve(std::size_t entries)
-        {
-            grow(std::bit_ceil(std::max<std::size_t>(64, entries * 2)));
-        }
+    /** Sharer word of LLC slot @p s (zero for noSlot: a line outside
+     *  the inclusive LLC has no sharers). */
+    std::uint64_t sharersAt(Slot s) const
+    {
+        return s != CacheArray::noSlot ? llc_.aux(s) : 0;
+    }
 
-        std::size_t find(Addr line) const
-        {
-            if (slots_.empty())
-                return npos;
-            const Addr tag = line | 1;
-            std::size_t s = idealSlot(tag);
-            while (slots_[s].key != 0) {
-                if (slots_[s].key == tag)
-                    return s;
-                s = (s + 1) & mask_;
-            }
-            return npos;
-        }
+    /** Add @p core as a sharer in @p p; @p exclusive marks it the M/E
+     *  owner (callers guarantee it is then the sole sharer). */
+    void trackSharer(std::uint64_t &p, CoreId core, bool exclusive);
 
-        /** Start pulling @p line's home slot toward the host caches;
-         *  pairs with a find() a few dozen instructions later (L1
-         *  eviction knows the victim before the victim's untrack). */
-        void prefetch(Addr line) const
-        {
-            if (!slots_.empty())
-                __builtin_prefetch(&slots_[idealSlot(line | 1)]);
-        }
+    /** Drop @p core as a sharer from @p p. */
+    void untrackSharer(std::uint64_t &p, CoreId core);
 
-        std::size_t findOrInsert(Addr line)
-        {
-            if ((used_ + 1) * 2 > slots_.size())
-                grow(std::max<std::size_t>(64, slots_.size() * 2));
-            const Addr tag = line | 1;
-            std::size_t s = idealSlot(tag);
-            while (slots_[s].key != 0) {
-                if (slots_[s].key == tag)
-                    return s;
-                s = (s + 1) & mask_;
-            }
-            slots_[s].key = tag;
-            slots_[s].packed = 0;
-            ++used_;
-            return s;
-        }
+    /**
+     * Remove every sharer in @p p except @p except, invalidating
+     * @p line in each removed core's L1 (ascending core order).
+     * Returns the count.
+     */
+    unsigned removeOthers(std::uint64_t &p, Addr line, CoreId except);
 
-        /** Add @p core as a sharer of slot @p s; @p exclusive marks it
-         *  the M/E owner (callers guarantee it is then the sole
-         *  sharer). */
-        void trackSharer(std::size_t s, CoreId core, bool exclusive)
-        {
-            std::uint64_t &p = slots_[s].packed;
-            if ((p & kOverflow) == 0) {
-                const CoreId id = inlineId(p);
-                if ((p & kHasSharer) == 0) {
-                    p = kHasSharer | (exclusive ? kOwned : 0) |
-                        (std::uint64_t{core} << kIdShift);
-                    return;
-                }
-                if (id == core) {
-                    if (exclusive)
-                        p |= kOwned;
-                    else
-                        p &= ~kOwned;
-                    return;
-                }
-                // Second sharer: spill to a full mask entry.  An owner
-                // would have been downgraded before another core could
-                // join, so the spilled entry is ownerless.
-                hp_assert(!exclusive && (p & kOwned) == 0,
-                          "exclusive track with another sharer present");
-                const std::uint32_t idx = allocPool();
-                DirEntry &e = pool_[idx];
-                e = DirEntry{};
-                e.mask[id / 64] |= std::uint64_t{1} << (id % 64);
-                e.mask[core / 64] |= std::uint64_t{1} << (core % 64);
-                p = kOverflow | (std::uint64_t{idx} << 1);
-                return;
-            }
-            DirEntry &e = pool_[p >> 1];
-            hp_assert(!exclusive,
-                      "exclusive track with multiple sharers present");
-            e.mask[core / 64] |= std::uint64_t{1} << (core % 64);
-        }
+    /** Collapse overflow record @p idx back inline into @p p once it is
+     *  down to one (or zero) sharers, recycling the record. */
+    void demoteIfSole(std::uint64_t &p, std::uint32_t idx);
 
-        /** Drop @p core as a sharer; erases the slot (invalidating
-         *  slot indices) when the entry empties. */
-        void untrackSharer(std::size_t s, CoreId core)
-        {
-            std::uint64_t &p = slots_[s].packed;
-            if ((p & kOverflow) == 0) {
-                if ((p & kHasSharer) != 0 && inlineId(p) == core)
-                    eraseAt(s);
-                return;
-            }
-            const std::uint32_t idx =
-                static_cast<std::uint32_t>(p >> 1);
-            DirEntry &e = pool_[idx];
-            e.mask[core / 64] &= ~(std::uint64_t{1} << (core % 64));
-            demoteIfSole(s, idx);
-        }
+    std::uint32_t allocPool();
 
-        /** M/E holder of slot @p s, or -1. */
-        int ownerOf(std::size_t s) const
-        {
-            const std::uint64_t p = slots_[s].packed;
-            if ((p & kOverflow) == 0)
-                return (p & kOwned) != 0 ? static_cast<int>(inlineId(p))
-                                         : -1;
-            return pool_[p >> 1].owner;
-        }
+    DirEntry materialize(std::uint64_t p) const;
 
-        bool anyOtherSharer(std::size_t s, CoreId except) const
-        {
-            const std::uint64_t p = slots_[s].packed;
-            if ((p & kOverflow) == 0)
-                return (p & kHasSharer) != 0 && inlineId(p) != except;
-            const DirEntry &e = pool_[p >> 1];
-            for (unsigned w = 0; w < dirMaskWords; ++w) {
-                std::uint64_t bits = e.mask[w];
-                if (except / 64 == w)
-                    bits &= ~(std::uint64_t{1} << (except % 64));
-                if (bits != 0)
-                    return true;
-            }
-            return false;
-        }
+    /** The core (other than @p except) holding the line whose sharer
+     *  word is @p p in M/E, or -1. */
+    int findOwner(std::uint64_t p, CoreId except) const;
 
-        /**
-         * Remove every sharer of slot @p s except @p except, calling
-         * @p f(core) (ascending core order) for each removed one.
-         * Erases the slot when the entry empties; returns the count.
-         */
-        template <typename F>
-        unsigned removeOthers(std::size_t s, CoreId except, F &&f)
-        {
-            std::uint64_t &p = slots_[s].packed;
-            if ((p & kOverflow) == 0) {
-                if ((p & kHasSharer) == 0)
-                    return 0;
-                const CoreId id = inlineId(p);
-                if (id == except)
-                    return 0;
-                f(id);
-                eraseAt(s);
-                return 1;
-            }
-            const std::uint32_t idx =
-                static_cast<std::uint32_t>(p >> 1);
-            DirEntry &e = pool_[idx];
-            unsigned n = 0;
-            for (unsigned w = 0; w < dirMaskWords; ++w) {
-                std::uint64_t bits = e.mask[w];
-                while (bits != 0) {
-                    const unsigned b =
-                        static_cast<unsigned>(std::countr_zero(bits));
-                    bits &= bits - 1;
-                    const CoreId c = w * 64 + b;
-                    if (c == except)
-                        continue;
-                    f(c);
-                    e.mask[w] &= ~(std::uint64_t{1} << b);
-                    ++n;
-                }
-            }
-            demoteIfSole(s, idx);
-            return n;
-        }
+    /** True if sharer word @p p names any core other than @p except. */
+    bool anyOtherSharer(std::uint64_t p, CoreId except) const;
 
-        /** Lines currently tracked. */
-        std::size_t size() const { return used_; }
+    /** Invalidate @p line (at LLC slot @p s, or noSlot) in every L1
+     *  except @p except's. */
+    unsigned invalidateOthers(Slot s, Addr line, CoreId except);
 
-        void clear()
-        {
-            for (Slot &s : slots_)
-                s.key = 0;
-            used_ = 0;
-            pool_.clear();
-            poolFree_.clear();
-        }
+    /** Insert into LLC, back-invalidating L1 copies of any LLC victim.
+     *  @return the line's LLC slot. */
+    Slot insertLlc(Addr line);
 
-        /** Visit every tracked line with its materialized entry. */
-        template <typename F>
-        void forEach(F &&f) const
-        {
-            for (const Slot &s : slots_) {
-                if (s.key != 0)
-                    f(s.key & ~Addr{1}, materialize(s.packed));
-            }
-        }
-
-      private:
-        /** 16-byte table slot; packed is either an inline popcount<=1
-         *  entry or an overflow-pool index (kOverflow set). */
-        struct Slot
-        {
-            Addr key = 0; ///< line|1 when occupied, 0 when empty
-            std::uint64_t packed = 0;
-        };
-
-        static constexpr std::uint64_t kOverflow = 1;  ///< bit 0
-        static constexpr std::uint64_t kHasSharer = 2; ///< bit 1
-        static constexpr std::uint64_t kOwned = 4;     ///< bit 2
-        static constexpr unsigned kIdShift = 3; ///< sharer id bits 3..
-        /** Inline sharer-id field width: holds maxDirectoryCores-1. */
-        static constexpr std::uint64_t kIdMask = 0x7FF;
-        static_assert(maxDirectoryCores - 1 <= kIdMask,
-                      "inline sharer id field too narrow");
-
-        static CoreId inlineId(std::uint64_t p)
-        {
-            return static_cast<CoreId>((p >> kIdShift) & kIdMask);
-        }
-
-        DirEntry materialize(std::uint64_t p) const
-        {
-            if ((p & kOverflow) != 0)
-                return pool_[p >> 1];
-            DirEntry e;
-            if ((p & kHasSharer) != 0) {
-                const CoreId id = inlineId(p);
-                e.mask[id / 64] |= std::uint64_t{1} << (id % 64);
-                if ((p & kOwned) != 0)
-                    e.owner = static_cast<int>(id);
-            }
-            return e;
-        }
-
-        std::uint32_t allocPool()
-        {
-            if (!poolFree_.empty()) {
-                const std::uint32_t idx = poolFree_.back();
-                poolFree_.pop_back();
-                return idx;
-            }
-            pool_.emplace_back();
-            return static_cast<std::uint32_t>(pool_.size() - 1);
-        }
-
-        /** Collapse slot @p s's overflow entry back inline once it is
-         *  down to one (or zero) sharers, recycling pool record
-         *  @p idx; an emptied entry erases the slot. */
-        void demoteIfSole(std::size_t s, std::uint32_t idx)
-        {
-            const DirEntry &e = pool_[idx];
-            const unsigned pop = e.popcount();
-            if (pop > 1)
-                return;
-            std::uint64_t repl = 0;
-            if (pop == 1) {
-                for (unsigned w = 0; w < dirMaskWords; ++w) {
-                    if (e.mask[w] != 0) {
-                        const std::uint64_t sole =
-                            w * 64 + static_cast<unsigned>(
-                                         std::countr_zero(e.mask[w]));
-                        // Spilled entries are ownerless (see
-                        // trackSharer); dirTrack re-grants ownership
-                        // after an upgrade.
-                        repl = kHasSharer | (sole << kIdShift);
-                    }
-                }
-            }
-            poolFree_.push_back(idx);
-            slots_[s].packed = repl;
-            if (repl == 0)
-                eraseAt(s); // no sharers left: drop the slot
-        }
-
-        void eraseAt(std::size_t i)
-        {
-            --used_;
-            std::size_t j = i;
-            for (;;) {
-                j = (j + 1) & mask_;
-                if (slots_[j].key == 0)
-                    break;
-                const std::size_t k = idealSlot(slots_[j].key);
-                // Move j's entry into the hole unless its home slot
-                // lies cyclically inside (i, j] — then the hole does
-                // not break j's probe chain.
-                const bool move =
-                    j > i ? (k <= i || k > j) : (k <= i && k > j);
-                if (move) {
-                    slots_[i] = slots_[j];
-                    i = j;
-                }
-            }
-            slots_[i].key = 0;
-        }
-
-        std::size_t idealSlot(Addr tag) const
-        {
-            // Fibonacci hashing: the multiply mixes the high bits best,
-            // so shift the product down rather than masking its low
-            // bits.
-            return static_cast<std::size_t>(tag * 0x9e3779b97f4a7c15ull >>
-                                            shift_) &
-                   mask_;
-        }
-
-        void grow(std::size_t n)
-        {
-            const std::vector<Slot, HugePageAllocator<Slot>> old =
-                std::move(slots_);
-            slots_.assign(n, Slot{});
-            mask_ = n - 1;
-            shift_ = 64 - static_cast<unsigned>(std::bit_width(n) - 1);
-            used_ = 0;
-            for (const Slot &s : old) {
-                if (s.key == 0)
-                    continue;
-                slots_[findOrInsert(s.key & ~Addr{1})].packed = s.packed;
-            }
-        }
-
-        // Huge-page-backed: 2 MB of slots at 128 cores, probed at
-        // hashed (random) indices on nearly every event.
-        std::vector<Slot, HugePageAllocator<Slot>> slots_;
-        std::size_t mask_ = 0;
-        unsigned shift_ = 63;
-        std::size_t used_ = 0;
-        /** Full-mask records for lines with >= 2 sharers. */
-        std::vector<DirEntry> pool_;
-        std::vector<std::uint32_t> poolFree_;
-    };
-
-    /** Find the core (other than @p except) holding the line in M/E. */
-    int findOwner(Addr line, CoreId except) const;
-
-    /** True if any core other than @p except holds the line. */
-    bool anyOtherSharer(Addr line, CoreId except) const;
-
-    /** Invalidate the line in every L1 except @p except's. */
-    unsigned invalidateOthers(Addr line, CoreId except);
-
-    /** Invalidate the line in every L1 (inclusive back-invalidation). */
-    unsigned invalidateAll(Addr line);
-
-    /** Insert into LLC, back-invalidating L1 copies of any LLC victim. */
-    void insertLlc(Addr line);
-
-    /** Insert into a core's L1, spilling any dirty victim into the LLC. */
-    void insertL1(CoreId core, Addr line, LineState st);
-
-    /** Change a resident L1 line's state, keeping the directory true. */
-    void setL1State(CoreId core, Addr line, LineState st);
-
-    /** Directory bookkeeping for an L1 gaining/changing a line. */
-    void dirTrack(Addr line, CoreId core, LineState st);
-
-    /** Directory bookkeeping for an L1 dropping a line. */
-    void dirUntrack(Addr line, CoreId core);
+    /** Insert into a core's L1 and track it as a sharer of LLC slot
+     *  @p llcSlot; any victim is untracked through its back-pointer. */
+    void insertL1(CoreId core, Addr line, LineState st, Slot llcSlot);
 
     /** Fire snoopers for a write transaction on @p line. */
     void notifySnoopers(Addr line, CoreId writer);
@@ -653,7 +333,11 @@ class MemorySystem
     /** watches_ sorted by lo; valid only while ranges are disjoint. */
     std::vector<WatchedRange> sortedWatches_;
     bool watchesOverlap_ = false;
-    DirectoryIndex dir_;
+    /** Full-mask records for lines with >= 2 sharers. */
+    std::vector<DirEntry> pool_;
+    std::vector<std::uint32_t> poolFree_;
+    /** LLC lines with at least one L1 sharer. */
+    std::uint64_t dirLines_ = 0;
     SnoopInterposer interposer_;
     trace::FlightRecorder *tracer_ = nullptr;
     const EventQueue *clock_ = nullptr;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mem/cache.hh"
 
 namespace hyperplane {
@@ -59,7 +61,7 @@ TEST(CacheArray, LruEvictionWithinSet)
     c.insert(a, LineState::Shared);
     c.insert(b, LineState::Shared);
     c.touch(a); // b is now LRU
-    const auto victim = c.insert(d, LineState::Shared);
+    const auto victim = c.insert(d, LineState::Shared).victim;
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->first, b);
     EXPECT_TRUE(c.contains(a));
@@ -71,7 +73,7 @@ TEST(CacheArray, InsertExistingUpdatesStateWithoutEviction)
 {
     CacheArray c(smallGeom());
     c.insert(0x1000, LineState::Shared);
-    const auto victim = c.insert(0x1000, LineState::Modified);
+    const auto victim = c.insert(0x1000, LineState::Modified).victim;
     EXPECT_FALSE(victim.has_value());
     EXPECT_EQ(c.state(0x1000), LineState::Modified);
     EXPECT_EQ(c.residentLines(), 1u);
@@ -122,6 +124,74 @@ TEST(CacheArray, FlushEmptiesEverything)
     EXPECT_EQ(c.residentLines(), 0u);
     for (Addr a = 0; a < 512; a += 64)
         EXPECT_FALSE(c.contains(a));
+}
+
+TEST(CacheArray, InvalidWayIsReusedBeforeLru)
+{
+    // 4 sets x 4 ways; five lines in one set.
+    CacheArray c(CacheGeometry{1024, 4, 64});
+    const Addr stride = c.geometry().sets() * 64;
+    for (unsigned i = 0; i < 4; ++i)
+        c.insert(i * stride, LineState::Shared);
+    // Line 0 is LRU; free two younger ways.  The fill takes the one
+    // that comes first in the set (the lower slot).
+    const CacheArray::Slot first =
+        std::min(c.find(1 * stride), c.find(3 * stride));
+    c.invalidate(3 * stride);
+    c.invalidate(1 * stride);
+    const CacheArray::Fill fill = c.insert(4 * stride, LineState::Shared);
+    EXPECT_EQ(fill.slot, first);
+    EXPECT_FALSE(fill.victim.has_value());
+    EXPECT_EQ(c.evictions.value(), 0u);
+    EXPECT_TRUE(c.contains(0));
+    EXPECT_TRUE(c.contains(2 * stride));
+    EXPECT_EQ(c.residentLines(), 3u);
+}
+
+TEST(CacheArray, LineZeroRoundTrips)
+{
+    // Tags are stored as line|1, so line 0 must not alias an empty way.
+    CacheArray c(smallGeom());
+    EXPECT_FALSE(c.contains(0));
+    EXPECT_FALSE(c.lookup(0));
+    c.insert(0, LineState::Exclusive);
+    EXPECT_TRUE(c.contains(0));
+    EXPECT_EQ(c.state(0x3f), LineState::Exclusive);
+    c.lookup(0).setState(LineState::Modified);
+    EXPECT_EQ(c.invalidate(0), LineState::Modified);
+    EXPECT_FALSE(c.contains(0));
+    EXPECT_EQ(c.residentLines(), 0u);
+}
+
+TEST(CacheArray, InsertResidentReturnsItsSlot)
+{
+    CacheArray c(smallGeom());
+    const CacheArray::Slot s = c.insert(0x1000, LineState::Shared).slot;
+    EXPECT_EQ(c.find(0x1000), s);
+    EXPECT_EQ(c.lookup(0x1000).slot(), s);
+    const CacheArray::Fill again = c.insert(0x1000, LineState::Modified);
+    EXPECT_EQ(again.slot, s);
+    EXPECT_FALSE(again.victim.has_value());
+}
+
+TEST(CacheArray, AuxWordStaysWithItsSlot)
+{
+    // Two-way set: the aux word survives LRU updates, and an evicting
+    // fill leaves the victim's aux word for the caller to retire.
+    CacheArray c(smallGeom());
+    const Addr stride = c.geometry().sets() * 64;
+    const CacheArray::Slot a = c.insert(0, LineState::Shared).slot;
+    c.aux(a) = 42;
+    c.insert(stride, LineState::Shared);
+    c.touchAt(c.find(stride)); // line 0 is LRU
+    EXPECT_EQ(c.aux(a), 42u);
+    const CacheArray::Fill fill = c.insert(2 * stride, LineState::Shared);
+    ASSERT_TRUE(fill.victim.has_value());
+    EXPECT_EQ(fill.victim->first, 0u);
+    EXPECT_EQ(fill.slot, a);
+    EXPECT_EQ(c.aux(fill.slot), 42u);
+    c.flush();
+    EXPECT_EQ(c.aux(a), 0u);
 }
 
 /** Property sweep: different geometries keep the invariant resident <=

@@ -206,16 +206,24 @@ TEST(MemorySystem, UnwatchStopsNotifications)
 TEST(MemorySystem, LlcEvictionBackInvalidatesL1)
 {
     // Tiny LLC: 2 sets x 2 ways.
-    MemorySystem m(2, CacheGeometry{32 * 1024, 4, 64},
+    MemorySystem m(4, CacheGeometry{32 * 1024, 4, 64},
                    CacheGeometry{256, 2, 64});
     const Addr a = 0x0000;
-    m.read(0, a);
+    // Three sharers: the line's sharer set spills to the overflow pool.
+    for (CoreId c = 0; c < 3; ++c)
+        m.read(c, a);
+    ASSERT_EQ(m.l1(2).state(a), LineState::Shared);
+    const std::uint64_t invalidationsBefore = m.invalidations.value();
     // Fill the LLC set until `a` is evicted (stride = 2 sets x 64 B).
     for (int i = 1; i <= 2; ++i)
-        m.read(1, a + i * 128);
+        m.read(3, a + i * 128);
     EXPECT_FALSE(m.llc().contains(a));
-    // Inclusive hierarchy: the L1 copy must be gone too.
-    EXPECT_FALSE(m.l1(0).contains(a));
+    // Inclusive hierarchy: every L1 copy must be gone too.
+    for (CoreId c = 0; c < 3; ++c)
+        EXPECT_FALSE(m.l1(c).contains(a)) << "core " << c;
+    EXPECT_EQ(m.invalidations.value() - invalidationsBefore, 3u);
+    EXPECT_EQ(m.directoryLines(), 2u);
+    m.checkDirectoryConsistency();
 }
 
 TEST(MemorySystem, FlushAllEmptiesCaches)
@@ -477,7 +485,7 @@ class RefMemorySystem
     void
     insertLlc(Addr line)
     {
-        if (auto victim = llc_.insert(line, LineState::Shared))
+        if (auto victim = llc_.insert(line, LineState::Shared).victim)
             invalidateOthers(victim->first, deviceWriter);
     }
 
@@ -611,11 +619,18 @@ TEST(MemorySystemDifferential, SixtyFourCores)
     runDifferential(64, 0x1064, 100000);
 }
 
-// Max supported core count: sharer ids land in the directory's second
-// mask word and the packed-slot id field uses its full range.
+// Sharer ids land in the directory's second mask word.
 TEST(MemorySystemDifferential, HundredTwentyEightCores)
 {
     runDifferential(128, 0x1128, 100000);
+}
+
+// Widest supported machine: sharer ids reach the last mask word and the
+// 11-bit inline id field's top value.  The reference model sweeps every
+// core per op, so fewer ops keep the test near one second.
+TEST(MemorySystemDifferential, MaxDirectoryCores)
+{
+    runDifferential(maxDirectoryCores, 0x1400, 50000);
 }
 
 } // namespace
