@@ -41,6 +41,7 @@ DataPlanePool::stop()
 {
     if (!running_.exchange(false))
         return;
+    hp_.close();
     for (auto &t : threads_)
         t.join();
     threads_.clear();
@@ -76,14 +77,13 @@ DataPlanePool::workerIndex()
 void
 DataPlanePool::workerLoop(unsigned index)
 {
-    using namespace std::chrono_literals;
     tlsWorkerIndex = static_cast<int>(index);
     while (running_.load(std::memory_order_relaxed)) {
-        // A bounded wait keeps shutdown prompt: the timeout re-checks
-        // running_ (the software stand-in for waking halted cores).
-        const auto qid = hp_.qwait(5ms);
+        // Halt until granted: an idle worker never wakes.  Without a
+        // timeout, nullopt means stop() closed the device.
+        const auto qid = hp_.qwait(EmuHyperPlane::forever);
         if (!qid)
-            continue;
+            break;
         const std::uint64_t n = hp_.take(*qid, maxBatch_);
         if (n == 0)
             continue; // spurious grant

@@ -64,6 +64,9 @@ class DataPlanePool
      * Signal and join the workers.  Idempotent.  In-flight batches
      * finish; pending doorbells may be left unserved.  When this
      * returns, the threads are joined and no handler will run again.
+     * The workers park with no timeout, so this closes the device
+     * (EmuHyperPlane::close()) to release them: a stopped pool cannot
+     * be restarted on the same device.
      */
     void stop();
 

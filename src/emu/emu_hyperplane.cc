@@ -114,14 +114,6 @@ EmuHyperPlane::setMuted(QueueId qid, bool muted)
 }
 
 bool
-EmuHyperPlane::isMuted(QueueId qid) const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    hp_assert(qid < muted_.size(), "qid out of range");
-    return muted_[qid];
-}
-
-bool
 EmuHyperPlane::pollActivate(QueueId qid)
 {
     std::lock_guard<std::mutex> lock(m_);
@@ -134,20 +126,12 @@ EmuHyperPlane::pollActivate(QueueId qid)
     return true;
 }
 
-std::uint64_t
-EmuHyperPlane::ringCalls(QueueId qid) const
+EmuHyperPlane::QueueAudit
+EmuHyperPlane::audit(QueueId qid) const
 {
     std::lock_guard<std::mutex> lock(m_);
-    hp_assert(qid < ringCalls_.size(), "qid out of range");
-    return ringCalls_[qid];
-}
-
-std::uint64_t
-EmuHyperPlane::ringedItems(QueueId qid) const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    hp_assert(qid < ringedItems_.size(), "qid out of range");
-    return ringedItems_[qid];
+    hp_assert(qid < registered_.size(), "qid out of range");
+    return {ringCalls_[qid], ringedItems_[qid], muted_[qid]};
 }
 
 std::uint64_t
@@ -160,29 +144,43 @@ EmuHyperPlane::mutedRings() const
 std::optional<QueueId>
 EmuHyperPlane::qwait(std::chrono::nanoseconds timeout)
 {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    using clock = std::chrono::steady_clock;
+    const auto deadline = timeout == forever ? clock::time_point::max()
+                                             : clock::now() + timeout;
     std::unique_lock<std::mutex> lock(m_);
-    auto qid = ready_.selectNext();
-    while (!qid) {
-        ++waiters_;
-        const auto status = cv_.wait_until(lock, deadline);
-        --waiters_;
-        // Whatever woke us, one claimed notify (if any) is now spent.
-        if (wakesInFlight_ > 0)
-            --wakesInFlight_;
-        qid = ready_.selectNext();
-        if (qid)
-            break;
+    auto status = std::cv_status::no_timeout;
+    for (bool woken = false; !closed_; woken = true) {
+        if (const auto qid = ready_.selectNext()) {
+            ++grants_;
+            return qid;
+        }
         if (status == std::cv_status::timeout) {
             ++qwaitTimeouts_;
             return std::nullopt;
         }
         // Notified (or pthread-spurious) but nothing grantable: a racing
         // consumer claimed the queue first.
-        ++spuriousWakes_;
+        if (woken)
+            ++spuriousWakes_;
+        ++waiters_;
+        if (timeout == forever)
+            cv_.wait(lock);
+        else
+            status = cv_.wait_until(lock, deadline);
+        --waiters_;
+        // Whatever woke us, one claimed notify (if any) is now spent.
+        if (wakesInFlight_ > 0)
+            --wakesInFlight_;
     }
-    ++grants_;
-    return qid;
+    return std::nullopt;
+}
+
+void
+EmuHyperPlane::close()
+{
+    std::lock_guard<std::mutex> lock(m_);
+    closed_ = true;
+    cv_.notify_all();
 }
 
 std::optional<QueueId>

@@ -106,15 +106,24 @@ class EmuHyperPlane
 
     // --- Consumer (data-plane) side ------------------------------------
 
+    /** qwait() timeout that never expires (a halted core). */
+    static constexpr auto forever = std::chrono::nanoseconds::max();
+
     /**
      * Block until some queue is ready (QWAIT).
      *
-     * @param timeout Give up after this long.
+     * @param timeout Give up after this long; forever never gives up.
      * @return The next ready QID per the service policy, or std::nullopt
-     *         on timeout.
+     *         on timeout or once the device is closed.
      */
     std::optional<QueueId> qwait(
         std::chrono::nanoseconds timeout = std::chrono::seconds(1));
+
+    /**
+     * Wake every parked waiter; every qwait() from now on returns
+     * std::nullopt at once, not counted as a timeout.  Irreversible.
+     */
+    void close();
 
     /** Non-blocking QWAIT variant (background-task pattern, Sec III-A). */
     std::optional<QueueId> qwaitNonBlocking();
@@ -154,7 +163,7 @@ class EmuHyperPlane
      */
     void setMuted(QueueId qid, bool muted);
 
-    bool isMuted(QueueId qid) const;
+    bool isMuted(QueueId qid) const { return audit(qid).muted; }
 
     /**
      * Software-poll a muted (or any) queue: if its doorbell advertises
@@ -163,19 +172,30 @@ class EmuHyperPlane
      */
     bool pollActivate(QueueId qid);
 
-    /**
-     * Monotonic count of ring() calls on @p qid (calls, not items) —
-     * the watchdog diffs this across sweeps to detect doorbell storms.
-     */
-    std::uint64_t ringCalls(QueueId qid) const;
+    /** What the watchdog reads about one queue, under one lock. */
+    struct QueueAudit
+    {
+        /** Monotonic count of ring() calls (calls, not items): the
+         *  watchdog diffs it across sweeps to detect doorbell storms. */
+        std::uint64_t ringCalls = 0;
+        /** Monotonic count of items ever advertised: the sum of every
+         *  ring()'s item count, muted rings included.  Consumers never
+         *  move it, so the lost-ring audit diffs it against the queue's
+         *  total pushes. */
+        std::uint64_t ringedItems = 0;
+        bool muted = false;
+    };
 
-    /**
-     * Monotonic count of items ever advertised on @p qid: the sum of
-     * every ring()'s item count, muted rings included.  Consumers never
-     * move it, so the server's lost-ring audit diffs it against the
-     * queue's total pushes.
-     */
-    std::uint64_t ringedItems(QueueId qid) const;
+    QueueAudit audit(QueueId qid) const;
+
+    std::uint64_t ringCalls(QueueId qid) const
+    {
+        return audit(qid).ringCalls;
+    }
+    std::uint64_t ringedItems(QueueId qid) const
+    {
+        return audit(qid).ringedItems;
+    }
 
     /** ring() calls swallowed while their queue was muted. */
     std::uint64_t mutedRings() const;
@@ -233,6 +253,7 @@ class EmuHyperPlane
     std::vector<bool> registered_;
     std::vector<bool> muted_;
     unsigned numRegistered_ = 0;
+    bool closed_ = false;
     unsigned waiters_ = 0;
     /** Notifies issued whose waiter has not yet re-taken m_ (<= waiters_). */
     unsigned wakesInFlight_ = 0;

@@ -154,6 +154,9 @@ UdpLoadGen::run()
     if (!sockOpt)
         return std::nullopt;
     UdpSocket sock = std::move(*sockOpt);
+    EpollWaiter waiter;
+    if (!waiter.valid() || !waiter.add(sock.fd()))
+        return std::nullopt;
     const auto ip = parseIpv4(cfg_.serverIp);
     if (!ip)
         return std::nullopt;
@@ -216,16 +219,9 @@ UdpLoadGen::run()
     // Receiver: drain responses, record post-warmup e2e latency.  The
     // histogram is only ever touched here, so no lock is needed.
     std::thread receiver([&] {
-        EpollWaiter waiter;
-        const bool havePoll = waiter.valid() && waiter.add(sock.fd());
         std::vector<Datagram> batch;
         while (rxRun.load(std::memory_order_relaxed)) {
-            if (havePoll) {
-                if (waiter.wait(5).empty())
-                    continue;
-            } else {
-                std::this_thread::sleep_for(microseconds(200));
-            }
+            waiter.wait(-1);
             for (;;) {
                 batch.clear();
                 if (sock.recvBatch(batch, cfg_.rxBatch) == 0)
@@ -391,6 +387,7 @@ UdpLoadGen::run()
         std::this_thread::sleep_for(milliseconds(1));
     }
     rxRun.store(false);
+    waiter.wake();
     receiver.join();
 
     report.sent = sent.load();

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "net/headers.hh"
 #include "net/packet.hh"
@@ -112,14 +113,6 @@ static_assert(tableCoversEveryCounter(),
 static_assert(TenantTable::invalidTenant == CounterShards::noTenant,
               "a queue no tenant owns counts in the no-tenant column");
 
-/** Remaining time until @p deadline, clamped at zero. */
-nanoseconds
-timeLeft(steady_clock::time_point deadline)
-{
-    const auto now = steady_clock::now();
-    return now >= deadline ? nanoseconds(0) : deadline - now;
-}
-
 } // namespace
 
 UdpServer::UdpServer(const ServerConfig &cfg)
@@ -191,6 +184,17 @@ UdpServer::start()
             return false;
         }
         workerSockets_.push_back(std::move(*s));
+    }
+    // One epoll set per RX shard.  Its eventfd lets stop() wake a
+    // thread that blocks with no timeout, so there is no polling mode.
+    rxWaiters_.clear();
+    for (UdpSocket &sock : rxSockets_) {
+        auto &w = rxWaiters_.emplace_back(std::make_unique<EpollWaiter>());
+        if (!w->valid() || !w->add(sock.fd())) {
+            rxSockets_.clear();
+            workerSockets_.clear();
+            return false;
+        }
     }
 
     epoch_ = steady_clock::now();
@@ -278,6 +282,8 @@ UdpServer::start()
         tcfg.enabled ? std::max<std::uint64_t>(1, tcfg.stageSampleEvery)
                      : 0);
     lastDumpNs_ = 0;
+    lastSweepNs_.store(0);
+    sweepArmed_.store(false);
 
     recoveryCount_.assign(cfg_.numQueues, 0);
     cleanSweeps_.assign(cfg_.numQueues, 0);
@@ -293,7 +299,6 @@ UdpServer::start()
     }
 
     running_.store(true);
-    rxRunning_.store(true);
 
     pool_ = std::make_unique<emu::DataPlanePool>(
         *hpDev_, cfg_.workers,
@@ -307,8 +312,6 @@ UdpServer::start()
 
     for (unsigned i = 0; i < cfg_.rxThreads; ++i)
         rxThreads_.emplace_back([this, i] { rxLoop(i); });
-    watchdogRunning_.store(true);
-    watchdogThread_ = std::thread([this] { watchdogLoop(); });
 
     if (tcfg.metricsPort >= 0) {
         selfReg_ = std::make_unique<stats::Registry>();
@@ -335,26 +338,30 @@ UdpServer::stop(std::chrono::nanoseconds drainDeadline)
         return true;
     const auto deadline = steady_clock::now() + drainDeadline;
 
-    // 1. Stop accepting: join the RX shards.
-    rxRunning_.store(false);
+    // 1. Stop accepting: wake and join the RX shards.
+    for (auto &w : rxWaiters_)
+        w->wake();
     for (auto &t : rxThreads_)
         t.join();
     rxThreads_.clear();
+    rxWaiters_.clear();
 
-    // 2. Drain accepted requests.  The watchdog keeps running so that
-    //    requests stranded by a dropped ring still get rescued.
-    while (backlog() > 0 && steady_clock::now() < deadline)
+    // 2. Drain accepted requests and the doorbell residual.  The sweeps
+    //    go on here, so requests stranded by a dropped ring still get
+    //    rescued.
+    const auto idle = [this] {
+        return backlog() == 0 && hpDev_->totalPending() == 0;
+    };
+    while (!idle() && steady_clock::now() < deadline) {
+        maybeSweep(nowNs());
         std::this_thread::sleep_for(microseconds(200));
-    bool drained = backlog() == 0;
+    }
+    const bool drained = idle();
 
-    // 3. Drain the doorbell residual, then stop the workers.  After
-    //    this returns the pool threads are joined: no handler runs
-    //    beyond this point, and every served reply has been sent by
-    //    the thread that served it.
-    drained = pool_->drain(timeLeft(deadline)) && drained;
-
-    if (watchdogRunning_.exchange(false) && watchdogThread_.joinable())
-        watchdogThread_.join();
+    // 3. Stop the workers.  After this returns the pool threads are
+    //    joined: no handler runs beyond this point, and every served
+    //    reply has been sent by the thread that served it.
+    pool_->stop();
 
     // The endpoint serves during the drain (an operator can scrape a
     // stopping server); it goes down with the last worker gone.
@@ -406,8 +413,11 @@ void
 UdpServer::rxLoop(unsigned index)
 {
     UdpSocket &sock = rxSockets_[index];
-    EpollWaiter waiter;
-    const bool havePoll = waiter.valid() && waiter.add(sock.fd());
+    EpollWaiter &waiter = *rxWaiters_[index];
+    // While the watchdog has something outstanding, RX's epoll wait
+    // times out after the sweep period in whole milliseconds.
+    const int sweepTimeoutMs = static_cast<int>(std::clamp<std::uint64_t>(
+        (sweepPeriodNs() + 999'999) / 1'000'000, 1, 1 << 30));
 
     Rng rng(cfg_.fault.seed * 0x9e3779b97f4a7c15ULL + index + 1);
     FramePool &pool = *rxPools_[index];
@@ -448,14 +458,12 @@ UdpServer::rxLoop(unsigned index)
     // stays honest.)
     std::vector<std::uint64_t> admitLast(cfg_.numQueues, 0);
 
-    while (rxRunning_.load(std::memory_order_relaxed)) {
-        if (havePoll) {
-            if (waiter.wait(50).empty())
-                continue;
-        } else {
-            // Degraded mode without epoll: short-sleep poll.
-            std::this_thread::sleep_for(microseconds(100));
-        }
+    while (running_.load(std::memory_order_relaxed)) {
+        // A stranded request shows as a backlog, so RX keeps the timer
+        // armed while it sees one; the sweep arms it for the rest.
+        const bool armed = sweepArmed_.load(std::memory_order_relaxed) ||
+                           backlog() > 0;
+        waiter.wait(armed ? sweepTimeoutMs : -1);
         for (;;) {
             // Top up the receive window with pool frames; recvmmsg
             // scatters straight into them at rxFrameOffset so the
@@ -689,7 +697,11 @@ UdpServer::rxLoop(unsigned index)
                     hpDev_->ring(s.queueFirst + r % s.queueCount, 0);
                 }
             }
+            // Sweep between batches too, so a socket that never runs
+            // dry cannot starve the audit.
+            maybeSweep(rxNs);
         }
+        maybeSweep(nowNs());
     }
 }
 
@@ -963,12 +975,32 @@ UdpServer::sendReplies(Lane &lane)
     out.clear();
 }
 
-void
-UdpServer::watchdogLoop()
+std::uint64_t
+UdpServer::sweepPeriodNs() const
 {
-    const auto period = microseconds(
-        std::max<long>(50, static_cast<long>(
-                               cfg_.fault.watchdogPeriodUs)));
+    return static_cast<std::uint64_t>(
+        std::max(0.0, cfg_.fault.watchdogPeriodUs) * 1e3);
+}
+
+void
+UdpServer::maybeSweep(std::uint64_t ns)
+{
+    const auto due = [&] {
+        return ns >= lastSweepNs_.load(std::memory_order_relaxed) +
+                         sweepPeriodNs();
+    };
+    if (!due())
+        return;
+    std::unique_lock<std::mutex> lock(sweepMu_, std::try_to_lock);
+    if (!lock.owns_lock() || !due())
+        return;
+    lastSweepNs_.store(ns, std::memory_order_relaxed);
+    sweepOnce();
+}
+
+void
+UdpServer::sweepOnce()
+{
     const unsigned shard = watchdogShard();
     CounterShards &counters = *counters_;
     trace::FlightRecorder &flight = *flight_;
@@ -990,127 +1022,126 @@ UdpServer::watchdogLoop()
         counters.add(shard, owner, Counter::Promotions);
     };
 
-    while (watchdogRunning_.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(period);
-        counters.add(shard, CounterShards::noTenant,
-                     Counter::WatchdogSweeps);
-        bool demotedThisSweep = false;
-        for (QueueId qid = 0; qid < cfg_.numQueues; ++qid) {
-            const unsigned owner = tenants_->tenantOfQueue(qid);
-            // Doorbell-storm audit: diff the device's monotonic
-            // ring-call counter across sweeps.  A queue ringing past
-            // the cap is demoted — muted on the device (its rings keep
-            // their accounting but wake nobody) and handed to the
-            // polled fallback path below.
-            const std::uint64_t rings = hpDev_->ringCalls(qid);
-            const std::uint64_t ringDelta = rings - ringsPrev_[qid];
-            ringsPrev_[qid] = rings;
-            const std::uint64_t cap = cfg_.fault.doorbellRateCap;
+    counters.add(shard, CounterShards::noTenant, Counter::WatchdogSweeps);
+    bool demotedThisSweep = false;
+    for (QueueId qid = 0; qid < cfg_.numQueues; ++qid) {
+        const unsigned owner = tenants_->tenantOfQueue(qid);
+        // Seqlock read: an RX thread mid-batch has pushed requests whose
+        // ring is still coming — that window is not a deficit.  Sample
+        // the epoch and the window, read the counters, and re-check
+        // below: only a read taken entirely between windows can confirm
+        // a deficit.  The deficit is items pushed minus items ever
+        // advertised: two monotone producer-side totals, so no consumer
+        // (take() lowering the doorbell, popBatch() raising the pop
+        // count) can fake one.  Pushes are read first: a push + ring
+        // between the reads then under-counts (safe).
+        const std::uint32_t epoch0 =
+            rxEpoch_[qid].load(std::memory_order_acquire);
+        const bool open0 =
+            rxInFlight_[qid].load(std::memory_order_acquire) != 0;
+        const std::uint64_t pushed = reqQueues_[qid]->totalPushed();
+        // One device lock reads ring calls, ringed items and muted bit.
+        const emu::EmuHyperPlane::QueueAudit dev = hpDev_->audit(qid);
 
-            if (hpDev_->isMuted(qid)) {
-                // Muted: notification is severed, so progress is this
-                // sweep's poll.  Muted rings create no deficit — skip
-                // the deficit machinery entirely.
-                if (hpDev_->pollActivate(qid)) {
-                    fallback_.polls.inc();
-                    counters.add(shard, owner, Counter::FallbackServes);
-                    fstamp(trace::Stage::FallbackServe, qid);
-                }
-                if (cap > 0 && ringDelta > cap) {
-                    cleanSweeps_[qid] = 0;
-                } else if (++cleanSweeps_[qid] >=
-                           cfg_.fault.promoteCleanSweeps) {
-                    hpDev_->setMuted(qid, false);
-                    promote(qid, owner);
-                }
-                deficitPrev_[qid] = 0;
-                continue;
+        // Doorbell-storm audit: diff the device's monotonic ring-call
+        // counter across sweeps.  A queue ringing past the cap is
+        // demoted — muted on the device (its rings keep their
+        // accounting but wake nobody) and handed to the polled fallback
+        // path below.
+        const std::uint64_t ringDelta =
+            dev.ringCalls - std::exchange(ringsPrev_[qid], dev.ringCalls);
+        const bool storm = cfg_.fault.doorbellRateCap > 0 &&
+                           ringDelta > cfg_.fault.doorbellRateCap;
+        // Only an armed queue's deficit carries over to the next sweep.
+        const std::uint64_t deficitPrev = std::exchange(deficitPrev_[qid], 0);
+
+        if (dev.muted) {
+            // Muted: notification is severed, so progress is this
+            // sweep's poll.  Muted rings create no deficit — skip the
+            // deficit machinery entirely.
+            if (hpDev_->pollActivate(qid)) {
+                fallback_.polls.inc();
+                counters.add(shard, owner, Counter::FallbackServes);
+                fstamp(trace::Stage::FallbackServe, qid);
             }
-            if (cap > 0 && ringDelta > cap) {
-                hpDev_->setMuted(qid, true);
-                if (!fallback_.contains(qid))
-                    fallback_.add(qid);
+            if (storm) {
                 cleanSweeps_[qid] = 0;
-                demotedThisSweep = true;
-                counters.add(shard, owner, Counter::Demotions);
-                counters.add(shard, owner, Counter::StormDemotions);
-                fstamp(trace::Stage::Demotion, qid, ringDelta);
-                deficitPrev_[qid] = 0;
-                continue;
+            } else if (++cleanSweeps_[qid] >=
+                       cfg_.fault.promoteCleanSweeps) {
+                hpDev_->setMuted(qid, false);
+                promote(qid, owner);
             }
-
-            // Seqlock read: an RX thread mid-batch has pushed requests
-            // whose ring is still coming — that window is not a
-            // deficit.  Sample the epoch, bail if a window is open,
-            // read the counters, and bail again if a window opened or
-            // closed meanwhile.  Only a read taken entirely between
-            // windows can confirm a deficit.
-            const std::uint32_t epoch0 =
-                rxEpoch_[qid].load(std::memory_order_acquire);
-            if (rxInFlight_[qid].load(std::memory_order_acquire) != 0) {
-                deficitPrev_[qid] = 0;
-                continue;
-            }
-            // The deficit is items pushed minus items ever advertised:
-            // two monotone producer-side totals, so no consumer
-            // (take() lowering the doorbell, popBatch() raising the
-            // pop count) can fake one.  Pushes are read first: a
-            // push + ring between the reads then under-counts (safe).
-            const std::uint64_t pushed = reqQueues_[qid]->totalPushed();
-            const std::uint64_t adv = hpDev_->ringedItems(qid);
-            if (rxInFlight_[qid].load(std::memory_order_acquire) != 0 ||
-                rxEpoch_[qid].load(std::memory_order_acquire) !=
-                    epoch0) {
-                deficitPrev_[qid] = 0;
-                continue;
-            }
-            const std::uint64_t deficit = pushed > adv ? pushed - adv : 0;
-
-            if (fallback_.contains(qid)) {
-                // Demoted: polled mode.  Re-advertise any deficit every
-                // sweep; promote back after enough clean sweeps.
-                if (deficit > 0) {
-                    cleanSweeps_[qid] = 0;
-                    fallback_.polls.inc();
-                    fallback_.tasksServed.inc(deficit);
-                    counters.add(shard, owner, Counter::FallbackServes,
-                                 deficit);
-                    hpDev_->ring(qid, deficit);
-                    fstamp(trace::Stage::FallbackServe, qid, deficit);
-                } else if (++cleanSweeps_[qid] >=
-                           cfg_.fault.promoteCleanSweeps) {
-                    promote(qid, owner);
-                }
-                deficitPrev_[qid] = 0;
-                continue;
-            }
-
-            // Armed queue: a transient deficit is just an RX thread
-            // between push and ring, so recovery requires the deficit
-            // to persist across two consecutive sweeps.
-            if (deficit > 0 && deficitPrev_[qid] > 0) {
-                const std::uint64_t lost =
-                    std::min(deficit, deficitPrev_[qid]);
-                hpDev_->ring(qid, lost);
-                counters.add(shard, owner, Counter::WatchdogRecoveries);
-                fstamp(trace::Stage::WatchdogRecovery, qid, lost);
-                deficitPrev_[qid] = 0;
-                if (++recoveryCount_[qid] >=
-                    cfg_.fault.demoteThreshold) {
-                    fallback_.add(qid);
-                    cleanSweeps_[qid] = 0;
-                    demotedThisSweep = true;
-                    fstamp(trace::Stage::Demotion, qid);
-                    counters.add(shard, owner, Counter::Demotions);
-                }
-            } else {
-                deficitPrev_[qid] = deficit;
-            }
+            continue;
+        }
+        if (storm) {
+            hpDev_->setMuted(qid, true);
+            if (!fallback_.contains(qid))
+                fallback_.add(qid);
+            cleanSweeps_[qid] = 0;
+            demotedThisSweep = true;
+            counters.add(shard, owner, Counter::Demotions);
+            counters.add(shard, owner, Counter::StormDemotions);
+            fstamp(trace::Stage::Demotion, qid, ringDelta);
+            continue;
         }
 
-        if (demotedThisSweep)
-            maybeFlightDump(nowNs());
+        if (open0 || rxInFlight_[qid].load(std::memory_order_acquire) != 0 ||
+            rxEpoch_[qid].load(std::memory_order_acquire) != epoch0) {
+            continue;
+        }
+        const std::uint64_t deficit =
+            pushed > dev.ringedItems ? pushed - dev.ringedItems : 0;
+
+        if (fallback_.contains(qid)) {
+            // Demoted: polled mode.  Re-advertise any deficit every
+            // sweep; promote back after enough clean sweeps.
+            if (deficit > 0) {
+                cleanSweeps_[qid] = 0;
+                fallback_.polls.inc();
+                fallback_.tasksServed.inc(deficit);
+                counters.add(shard, owner, Counter::FallbackServes,
+                             deficit);
+                hpDev_->ring(qid, deficit);
+                fstamp(trace::Stage::FallbackServe, qid, deficit);
+            } else if (++cleanSweeps_[qid] >=
+                       cfg_.fault.promoteCleanSweeps) {
+                promote(qid, owner);
+            }
+            continue;
+        }
+
+        // Armed queue: a transient deficit is just an RX thread between
+        // push and ring, so recovery requires the deficit to persist
+        // across two consecutive sweeps.
+        if (deficit > 0 && deficitPrev > 0) {
+            const std::uint64_t lost = std::min(deficit, deficitPrev);
+            hpDev_->ring(qid, lost);
+            counters.add(shard, owner, Counter::WatchdogRecoveries);
+            fstamp(trace::Stage::WatchdogRecovery, qid, lost);
+            if (++recoveryCount_[qid] >= cfg_.fault.demoteThreshold) {
+                fallback_.add(qid);
+                cleanSweeps_[qid] = 0;
+                demotedThisSweep = true;
+                fstamp(trace::Stage::Demotion, qid);
+                counters.add(shard, owner, Counter::Demotions);
+            }
+        } else {
+            deficitPrev_[qid] = deficit;
+        }
     }
+
+    if (demotedThisSweep)
+        maybeFlightDump(nowNs());
+
+    // With nothing outstanding the next sweep can find nothing: a lost
+    // ring strands only queued items (its deficit, pushed minus
+    // advertised, is at most the backlog), and muted queues are in
+    // fallback_.
+    sweepArmed_.store(
+        backlog() > 0 || !fallback_.empty() ||
+            std::any_of(deficitPrev_.begin(), deficitPrev_.end(),
+                        [](std::uint64_t d) { return d > 0; }),
+        std::memory_order_relaxed);
 }
 
 void

@@ -33,11 +33,14 @@
  *
  * The fault layer rides along: an injectable RX->doorbell ring drop
  * models the lost-notification fault the simulator studies, and a
- * watchdog thread audits queue depth against the advertised doorbell
+ * watchdog sweep audits queue depth against the advertised doorbell
  * value, replays missing rings, and gracefully demotes chronically
  * lossy queues to a software-polled mode (rescued every sweep) with
  * promotion back after clean sweeps — the emulation-side mirror of the
- * simulator's watchdog + FallbackSet machinery.
+ * simulator's watchdog + FallbackSet machinery.  RX threads run the
+ * sweeps on their wake-ups, with an epoll timer armed only while
+ * something is outstanding, and workers park with no timeout: an idle
+ * server's threads never wake.
  *
  * Instrumentation is one substrate.  Every count is one add into a
  * single-writer cell of telemetry::CounterShards (shard x tenant x
@@ -98,7 +101,11 @@ struct ServerFaultConfig
     /** Seed for the per-RX-thread injection streams. */
     std::uint64_t seed = 1;
 
-    /** Period of the depth-vs-doorbell audit thread's sweep. */
+    /**
+     * Minimum spacing of the depth-vs-doorbell audit sweeps; while one
+     * has something outstanding, RX also wakes after this period
+     * (rounded up to whole milliseconds) to run the next.
+     */
     double watchdogPeriodUs = 1000.0;
     /** Watchdog recoveries of a queue before demotion to polled mode. */
     unsigned demoteThreshold = 3;
@@ -252,9 +259,10 @@ class UdpServer
     UdpServer &operator=(const UdpServer &) = delete;
 
     /**
-     * Bind the sockets and launch RX / worker / watchdog threads.
-     * @return false if sockets are unavailable (sandboxes) or the bind
-     *         fails; the server is then inert and safe to destroy.
+     * Bind the sockets and launch the RX and worker threads.
+     * @return false if sockets are unavailable (sandboxes), the bind
+     *         fails or an RX thread's epoll set cannot be made; the
+     *         server is then inert and safe to destroy.
      */
     bool start();
 
@@ -410,7 +418,12 @@ class UdpServer
     };
 
     void rxLoop(unsigned index);
-    void watchdogLoop();
+    /** sweepOnce() if a period has passed at @p ns and none is running. */
+    void maybeSweep(std::uint64_t ns);
+    /** One watchdog audit of every queue.  @pre sweepMu_ held. */
+    void sweepOnce();
+    /** ServerFaultConfig::watchdogPeriodUs in nanoseconds. */
+    std::uint64_t sweepPeriodNs() const;
     /**
      * Serve @p n granted items of @p qid and send lane.out, holding the
      * queue's serving lock from the pop to the send.
@@ -439,7 +452,8 @@ class UdpServer
     Tick nowTicks() const;
 
     // Telemetry shard ids: one single-writer shard per RX shard and
-    // worker (also their lane index) plus one for the watchdog.
+    // worker (also their lane index) plus one for the watchdog, written
+    // by whichever thread holds sweepMu_.
     unsigned rxShard(unsigned i) const { return i; }
     unsigned workerShard(unsigned w) const { return cfg_.rxThreads + w; }
     unsigned watchdogShard() const
@@ -449,8 +463,8 @@ class UdpServer
     unsigned numTelemetryShards() const { return watchdogShard() + 1; }
 
     /**
-     * Demotion flight dump (watchdog thread only): unless one was
-     * written less than a second ago, writes "<prefix>_<n>.json".
+     * Demotion flight dump (sweepMu_ held): unless one was written less
+     * than a second ago, writes "<prefix>_<n>.json".
      */
     void maybeFlightDump(std::uint64_t ns);
 
@@ -470,15 +484,22 @@ class UdpServer
     std::vector<std::unique_ptr<app::StatefulHandler>> apps_;
 
     std::vector<UdpSocket> rxSockets_;
+    /** One epoll set per RX thread; stop() wakes them. */
+    std::vector<std::unique_ptr<EpollWaiter>> rxWaiters_;
     /** Reply sockets of the pool workers (RX replies on rxSockets_). */
     std::vector<UdpSocket> workerSockets_;
     /** One per serving thread, indexed like the telemetry shards. */
     std::vector<Lane> lanes_;
     std::vector<std::thread> rxThreads_;
-    std::thread watchdogThread_;
 
     std::unique_ptr<TenantTable> tenants_;
 
+    /** Held by the sweeping thread (RX, or stop() once RX is joined);
+     *  guards fallback_ through ringsPrev_, and lastDumpNs_. */
+    std::mutex sweepMu_;
+    std::atomic<std::uint64_t> lastSweepNs_{0}; ///< ns since start()
+    /** The last sweep left something outstanding: keep RX's timer. */
+    std::atomic<bool> sweepArmed_{false};
     fault::FallbackSet fallback_;
     std::vector<unsigned> recoveryCount_;
     std::vector<unsigned> cleanSweeps_;
@@ -507,12 +528,10 @@ class UdpServer
     /** Registry backing the endpoint (populated in start()). */
     std::unique_ptr<stats::Registry> selfReg_;
     std::atomic<std::uint64_t> flightDumps_{0};
-    /** Time of the last demotion dump (watchdog thread only). */
+    /** Time of the last demotion dump (sweepMu_ held). */
     std::uint64_t lastDumpNs_ = 0;
 
     std::atomic<bool> running_{false};
-    std::atomic<bool> rxRunning_{false};
-    std::atomic<bool> watchdogRunning_{false};
 
     std::uint16_t port_ = 0;
     std::uint32_t boundIp_ = 0;

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,6 +11,7 @@
 #include <cstring>
 
 #include "server/wire.hh"
+#include "sim/logging.hh"
 
 namespace hyperplane {
 namespace server {
@@ -283,10 +285,16 @@ UdpSocket::sendTo(const sockaddr_in &peer, const std::uint8_t *data,
     }
 }
 
-EpollWaiter::EpollWaiter() : epfd_(::epoll_create1(0)) {}
+EpollWaiter::EpollWaiter()
+    : epfd_(::epoll_create1(EPOLL_CLOEXEC)),
+      wakeFd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)), valid_(add(wakeFd_))
+{
+}
 
 EpollWaiter::~EpollWaiter()
 {
+    if (wakeFd_ >= 0)
+        ::close(wakeFd_);
     if (epfd_ >= 0)
         ::close(epfd_);
 }
@@ -302,17 +310,24 @@ EpollWaiter::add(int fd)
     return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
-std::vector<int>
+bool
 EpollWaiter::wait(int timeoutMs)
 {
-    std::vector<int> ready;
     if (epfd_ < 0)
-        return ready;
+        return false;
     epoll_event evs[16];
-    const int n = ::epoll_wait(epfd_, evs, 16, timeoutMs);
-    for (int i = 0; i < n; ++i)
-        ready.push_back(evs[i].data.fd);
-    return ready;
+    return ::epoll_wait(epfd_, evs, 16, timeoutMs) > 0;
+}
+
+void
+EpollWaiter::wake()
+{
+    // Never read back, so the eventfd stays readable: level-triggered
+    // epoll then reports it to this and every later wait().
+    const std::uint64_t one = 1;
+    if (valid_ && ::write(wakeFd_, &one, sizeof(one)) < 0)
+        hp_warn("EpollWaiter: eventfd write failed: %s",
+                std::strerror(errno));
 }
 
 std::optional<std::uint32_t>

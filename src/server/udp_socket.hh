@@ -136,7 +136,8 @@ class UdpSocket
     int fd_ = -1;
 };
 
-/** Level-triggered epoll wrapper for read-readiness. */
+/** Level-triggered epoll wrapper for read-readiness; its own eventfd
+ *  lets another thread end a wait that has no timeout. */
 class EpollWaiter
 {
   public:
@@ -146,19 +147,24 @@ class EpollWaiter
     EpollWaiter(const EpollWaiter &) = delete;
     EpollWaiter &operator=(const EpollWaiter &) = delete;
 
-    bool valid() const { return epfd_ >= 0; }
+    bool valid() const { return valid_; }
 
     /** Watch @p fd for readability. @return true on success. */
     bool add(int fd);
 
     /**
-     * Wait up to @p timeoutMs for readable fds.
-     * @return The readable fds (empty on timeout or error).
+     * Wait up to @p timeoutMs (-1: no limit) for a readable fd or a
+     * wake().  @return false on timeout or error.
      */
-    std::vector<int> wait(int timeoutMs);
+    bool wait(int timeoutMs);
+
+    /** Make this and every later wait() return at once (any thread). */
+    void wake();
 
   private:
     int epfd_ = -1;
+    int wakeFd_ = -1;
+    bool valid_ = false; ///< both fds exist and wakeFd_ is watched
 };
 
 /** Parse a dotted-quad IPv4 string to host byte order. */

@@ -54,6 +54,40 @@ TEST(EmuHyperPlane, QwaitTimesOutWhenIdle)
     EXPECT_FALSE(hp.qwait(10ms).has_value());
 }
 
+TEST(EmuHyperPlane, CloseWakesEveryWaiter)
+{
+    // Parked with no timeout, waiters leave only through a grant or
+    // close(): close() must release all of them at once, and every
+    // later qwait() returns without parking, even with work pending.
+    constexpr int numWaiters = 4;
+    EmuHyperPlane hp(4);
+    const auto q = hp.addQueue();
+    std::atomic<int> released{0};
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < numWaiters; ++i) {
+        waiters.emplace_back([&] {
+            if (!hp.qwait(EmuHyperPlane::forever))
+                released++;
+        });
+    }
+    std::this_thread::sleep_for(50ms);
+    EXPECT_EQ(released.load(), 0);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    hp.close();
+    for (auto &t : waiters)
+        t.join();
+    EXPECT_EQ(released.load(), numWaiters);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+
+    hp.ring(*q, 1);
+    EXPECT_FALSE(hp.qwait(EmuHyperPlane::forever).has_value());
+    EXPECT_FALSE(hp.qwait(10s).has_value());
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+    EXPECT_EQ(hp.qwaitTimeouts(), 0u);
+    EXPECT_EQ(hp.grants(), 0u);
+}
+
 TEST(EmuHyperPlane, RingMakesQueueReady)
 {
     EmuHyperPlane hp(4);

@@ -197,6 +197,70 @@ TEST(ServerLoopback, WatchdogRecoversDroppedRings)
     EXPECT_NE(dump.find("\"demotion\""), std::string::npos);
 }
 
+TEST(ServerSweep, DroppedRingAfterLastPacketIsRecovered)
+{
+    // Every ring is dropped and one burst is all that ever arrives: no
+    // later datagram wakes RX, and with a 20 ms period no sweep is due
+    // yet when the burst lands.  Only the timer RX arms on seeing the
+    // backlog can run the two sweeps that recover the requests.  The
+    // long wait lets a slowed (sanitized) server pass.
+    ServerConfig cfg;
+    cfg.fault.dropRingProbability = 1.0;
+    cfg.fault.watchdogPeriodUs = 20000.0;
+    UdpServer srv(cfg);
+    START_OR_SKIP(srv);
+
+    auto sockOpt = UdpSocket::open();
+    ASSERT_TRUE(sockOpt.has_value());
+    UdpSocket &sock = *sockOpt;
+    sockaddr_in peer{};
+    peer.sin_family = AF_INET;
+    peer.sin_addr.s_addr = htonl(0x7f000001);
+    peer.sin_port = htons(srv.port());
+    constexpr unsigned burst = 16;
+    std::vector<Datagram> out(burst), in;
+    for (unsigned i = 0; i < burst; ++i) {
+        wire::RequestHeader hdr;
+        hdr.seq = i;
+        hdr.flowId = i;
+        out[i].peer = peer;
+        out[i].bytes.resize(wire::RequestHeader::wireSize);
+        ASSERT_NE(wire::buildRequest(out[i].bytes.data(),
+                                     out[i].bytes.size(), hdr, nullptr),
+                  0u);
+    }
+    ASSERT_EQ(sock.sendBatch(out.data(), out.size()), out.size());
+
+    std::size_t received = 0;
+    const auto until = std::chrono::steady_clock::now() + 5s;
+    while (received < burst && std::chrono::steady_clock::now() < until) {
+        in.clear();
+        if (sock.recvBatch(in, burst) == 0)
+            std::this_thread::sleep_for(1ms);
+        received += in.size();
+    }
+    const ServerCounterSnapshot s = srv.counterSnapshot();
+    EXPECT_TRUE(srv.stop());
+
+    EXPECT_EQ(received, burst);
+    EXPECT_GT(s.ringsDropped, 0u);
+    EXPECT_GT(s.watchdogRecoveries, 0u);
+}
+
+TEST(ServerLoopback, IdleServerMakesNoTimerWakeups)
+{
+    // With nothing outstanding RX blocks in epoll_wait and the workers
+    // park in QWAIT, neither with a timeout: an idle server's threads
+    // never wake, so no qwait times out and no sweep runs.
+    UdpServer srv(ServerConfig{});
+    START_OR_SKIP(srv);
+    std::this_thread::sleep_for(300ms);
+    EXPECT_EQ(srv.device().qwaitTimeouts(), 0u);
+    EXPECT_EQ(srv.counterSnapshot().watchdogSweeps, 0u);
+    EXPECT_TRUE(srv.stop());
+    EXPECT_EQ(srv.device().qwaitTimeouts(), 0u);
+}
+
 TEST(ServerLoopback, HealthyTrafficTriggersNoRecoveries)
 {
     // The two-sweep deficit confirmation must not misfire on the
