@@ -69,7 +69,7 @@ struct Scenario
 
 struct ServerSnapshot
 {
-    std::uint64_t stormDemotions = 0;
+    std::uint64_t demotions = 0;
     std::uint64_t promotions = 0;
     std::uint64_t shedRateLimited = 0;
     std::uint64_t shedWatermark = 0;
@@ -153,7 +153,7 @@ snapshot(const server::UdpServer &srv)
 {
     ServerSnapshot out;
     const server::ServerCounterSnapshot c = srv.counterSnapshot();
-    out.stormDemotions = c.stormDemotions;
+    out.demotions = c.demotions;
     out.promotions = c.promotions;
     out.shedRateLimited = c.shedRateLimited;
     out.shedWatermark = c.shedWatermark;
@@ -214,7 +214,7 @@ resultsJson(const RunResult &base, const RunResult &attack)
     out += ",\"attack\":{\"victim\":" + attack.victim.json();
     out += ",\"aggressor\":" + attack.aggressor->json();
     const auto &sv = attack.srv;
-    out += ",\"server\":{\"storm_demotions\":" + num(sv.stormDemotions);
+    out += ",\"server\":{\"demotions\":" + num(sv.demotions);
     out += ",\"promotions\":" + num(sv.promotions);
     out += ",\"shed_rate_limited\":" + num(sv.shedRateLimited);
     out += ",\"shed_watermark\":" + num(sv.shedWatermark);
@@ -313,9 +313,9 @@ main(int argc, char **argv)
     t.print();
 
     const auto &sv = attack->srv;
-    std::printf("server: storm demotions %llu, promotions %llu, muted "
+    std::printf("server: demotions %llu, promotions %llu, muted "
                 "rings %llu\n",
-                static_cast<unsigned long long>(sv.stormDemotions),
+                static_cast<unsigned long long>(sv.demotions),
                 static_cast<unsigned long long>(sv.promotions),
                 static_cast<unsigned long long>(sv.mutedRings));
     std::printf("sheds: rate-limited %llu, watermark %llu, queue-full "
@@ -376,7 +376,7 @@ main(int argc, char **argv)
                         aggrLost);
             ok = false;
         }
-        if (sv.stormDemotions == 0) {
+        if (sv.demotions == 0) {
             std::puts("CHECK FAIL: doorbell storm never triggered a "
                       "demotion");
             ok = false;

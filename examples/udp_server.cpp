@@ -20,8 +20,8 @@
  *   --rx N            RX threads / SO_REUSEPORT shards (default 2)
  *   --workers N       QWAIT worker threads             (default 2)
  *   --queues N        task queues                      (default 16)
- *   --drop-rings R    inject doorbell-ring drops with probability R
- *   --stats-sec S     print the counter registry every S seconds
+ *   --stats-sec S     print received, served, sent, queue drops and
+ *                     storm demotions every S seconds
  *   --metrics-port P  HTTP+UDP metrics endpoint (0 = ephemeral;
  *                     omitted = no endpoint)
  *   --metrics-ip A    metrics bind address (default 127.0.0.1)
@@ -81,8 +81,6 @@ main(int argc, char **argv)
         cfg.workers = static_cast<unsigned>(std::atoi(v));
     if (const char *v = harness::argValue(argc, argv, "--queues"))
         cfg.numQueues = static_cast<unsigned>(std::atoi(v));
-    if (const char *v = harness::argValue(argc, argv, "--drop-rings"))
-        cfg.fault.dropRingProbability = std::atof(v);
     if (const char *v = harness::argValue(argc, argv, "--metrics-port"))
         cfg.telemetry.metricsPort = std::atoi(v);
     if (const char *v = harness::argValue(argc, argv, "--metrics-ip"))
@@ -145,13 +143,12 @@ main(int argc, char **argv)
                     srv.counterSnapshot();
                 std::printf(
                     "rx=%llu served=%llu tx=%llu drops=%llu "
-                    "recoveries=%llu\n",
+                    "demotions=%llu\n",
                     static_cast<unsigned long long>(s.rxPackets),
                     static_cast<unsigned long long>(s.served),
                     static_cast<unsigned long long>(s.txPackets),
                     static_cast<unsigned long long>(s.queueDrops),
-                    static_cast<unsigned long long>(
-                        s.watchdogRecoveries));
+                    static_cast<unsigned long long>(s.demotions));
                 std::fflush(stdout);
             }
         }

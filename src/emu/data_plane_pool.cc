@@ -47,27 +47,6 @@ DataPlanePool::stop()
     threads_.clear();
 }
 
-bool
-DataPlanePool::drain(std::chrono::nanoseconds deadline)
-{
-    using namespace std::chrono;
-    const auto until = steady_clock::now() + deadline;
-    bool drained = false;
-    if (running_.load(std::memory_order_relaxed)) {
-        // Workers keep serving; we only watch the doorbells empty out.
-        while (steady_clock::now() < until) {
-            if (hp_.totalPending() == 0) {
-                drained = true;
-                break;
-            }
-            std::this_thread::sleep_for(microseconds(200));
-        }
-        drained = drained || hp_.totalPending() == 0;
-    }
-    stop();
-    return drained;
-}
-
 int
 DataPlanePool::workerIndex()
 {

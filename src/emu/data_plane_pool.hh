@@ -7,20 +7,12 @@
  * queues visible to all workers), each looping
  * QWAIT -> take -> handler.  Applications provide only the per-batch
  * handler; registration and producers use the EmuHyperPlane directly.
- *
- * Shutdown comes in two flavours the UDP server needs for SIGINT-safe
- * teardown: stop() halts after the in-flight batches finish, and
- * drain(deadline) first keeps serving until every doorbell reads zero
- * (or the deadline passes), so accepted work is answered before the
- * workers exit.  In both cases no handler runs after the call returns —
- * the workers are joined before control comes back.
  */
 
 #ifndef HYPERPLANE_EMU_DATA_PLANE_POOL_HH
 #define HYPERPLANE_EMU_DATA_PLANE_POOL_HH
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -69,14 +61,6 @@ class DataPlanePool
      * be restarted on the same device.
      */
     void stop();
-
-    /**
-     * Drain then stop: keep the workers serving until the device's
-     * doorbells all read zero or @p deadline elapses, then stop().
-     *
-     * @return true if the device fully drained before the deadline.
-     */
-    bool drain(std::chrono::nanoseconds deadline);
 
     bool running() const { return running_; }
     unsigned workers() const

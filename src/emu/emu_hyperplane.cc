@@ -10,8 +10,7 @@ EmuHyperPlane::EmuHyperPlane(unsigned maxQueues,
     : ready_(core::ReadySetConfig{maxQueues, policy,
                                   core::ArbiterKind::BrentKung, 1}),
       doorbells_(maxQueues, 0), ringCalls_(maxQueues, 0),
-      ringedItems_(maxQueues, 0), registered_(maxQueues, false),
-      muted_(maxQueues, false)
+      registered_(maxQueues, false), muted_(maxQueues, false)
 {
     hp_assert(maxQueues > 0, "need at least one queue slot");
 }
@@ -75,7 +74,6 @@ EmuHyperPlane::ring(QueueId qid, std::uint64_t n, Wake wake)
     hp_assert(registered_[qid], "ring on unregistered queue");
     doorbells_[qid] += n;
     ++ringCalls_[qid];
-    ringedItems_[qid] += n;
     // Storm containment: a muted queue keeps its accounting (the items
     // stay advertised) but the notification side is severed — only the
     // watchdog's pollActivate() sweep moves it forward.
@@ -131,7 +129,7 @@ EmuHyperPlane::audit(QueueId qid) const
 {
     std::lock_guard<std::mutex> lock(m_);
     hp_assert(qid < registered_.size(), "qid out of range");
-    return {ringCalls_[qid], ringedItems_[qid], muted_[qid]};
+    return {ringCalls_[qid], muted_[qid]};
 }
 
 std::uint64_t

@@ -178,11 +178,6 @@ class EmuHyperPlane
         /** Monotonic count of ring() calls (calls, not items): the
          *  watchdog diffs it across sweeps to detect doorbell storms. */
         std::uint64_t ringCalls = 0;
-        /** Monotonic count of items ever advertised: the sum of every
-         *  ring()'s item count, muted rings included.  Consumers never
-         *  move it, so the lost-ring audit diffs it against the queue's
-         *  total pushes. */
-        std::uint64_t ringedItems = 0;
         bool muted = false;
     };
 
@@ -191,10 +186,6 @@ class EmuHyperPlane
     std::uint64_t ringCalls(QueueId qid) const
     {
         return audit(qid).ringCalls;
-    }
-    std::uint64_t ringedItems(QueueId qid) const
-    {
-        return audit(qid).ringedItems;
     }
 
     /** ring() calls swallowed while their queue was muted. */
@@ -249,7 +240,6 @@ class EmuHyperPlane
     core::ReadySet ready_;
     std::vector<std::uint64_t> doorbells_;
     std::vector<std::uint64_t> ringCalls_;
-    std::vector<std::uint64_t> ringedItems_;
     std::vector<bool> registered_;
     std::vector<bool> muted_;
     unsigned numRegistered_ = 0;

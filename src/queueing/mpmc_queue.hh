@@ -8,9 +8,7 @@
  * the EmuHyperPlane doorbell.  Throughput needs are modest (the doorbell
  * device is the bottleneck by design), so this is the boring correct
  * structure: mutex + deque, with monotonic push/pop counters readable
- * without the lock: size() is their difference, and the server
- * watchdog compares totalPushed() against the items the doorbell ever
- * advertised (EmuHyperPlane::ringedItems) to find lost rings.
+ * without the lock, so size() (their difference) never takes it.
  */
 
 #ifndef HYPERPLANE_QUEUEING_MPMC_QUEUE_HH
@@ -110,13 +108,6 @@ class MpmcQueue
 
     bool empty() const { return size() == 0; }
     std::size_t capacity() const { return capacity_; }
-
-    /** Monotonic push count for deficit audits (lock-free read). */
-    std::uint64_t
-    totalPushed() const
-    {
-        return pushed_.load(std::memory_order_acquire);
-    }
 
   private:
     const std::size_t capacity_;

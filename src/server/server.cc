@@ -80,15 +80,10 @@ constexpr CounterRow kCounterTable[] = {
      &S::shedWatermark},
     {Counter::ShedQueueFull, "shed_queue_full", "queue_full_shed",
      &S::shedQueueFull},
-    {Counter::StormDemotions, "storm_demotions", nullptr,
-     &S::stormDemotions},
-    {Counter::RingsDropped, "rings_dropped", nullptr, &S::ringsDropped},
     {Counter::BadStatus, "responses_bad_status", nullptr, &S::badStatus},
     {Counter::TxSendErrors, "tx_send_errors", nullptr, &S::txSendErrors},
     {Counter::WatchdogSweeps, "watchdog_sweeps", nullptr,
      &S::watchdogSweeps},
-    {Counter::WatchdogRecoveries, "watchdog_recoveries", nullptr,
-     &S::watchdogRecoveries},
     {Counter::FallbackServes, "fallback_serves", nullptr,
      &S::fallbackServes},
     {Counter::Demotions, "demotions", "demotions", &S::demotions},
@@ -285,18 +280,8 @@ UdpServer::start()
     lastSweepNs_.store(0);
     sweepArmed_.store(false);
 
-    recoveryCount_.assign(cfg_.numQueues, 0);
     cleanSweeps_.assign(cfg_.numQueues, 0);
-    deficitPrev_.assign(cfg_.numQueues, 0);
     ringsPrev_.assign(cfg_.numQueues, 0);
-    rxInFlight_ = std::make_unique<std::atomic<std::uint32_t>[]>(
-        cfg_.numQueues);
-    rxEpoch_ = std::make_unique<std::atomic<std::uint32_t>[]>(
-        cfg_.numQueues);
-    for (unsigned q = 0; q < cfg_.numQueues; ++q) {
-        rxInFlight_[q].store(0, std::memory_order_relaxed);
-        rxEpoch_[q].store(0, std::memory_order_relaxed);
-    }
 
     running_.store(true);
 
@@ -347,8 +332,8 @@ UdpServer::stop(std::chrono::nanoseconds drainDeadline)
     rxWaiters_.clear();
 
     // 2. Drain accepted requests and the doorbell residual.  The sweeps
-    //    go on here, so requests stranded by a dropped ring still get
-    //    rescued.
+    //    go on here: a muted queue's items are served only by a sweep's
+    //    poll.
     const auto idle = [this] {
         return backlog() == 0 && hpDev_->totalPending() == 0;
     };
@@ -414,12 +399,11 @@ UdpServer::rxLoop(unsigned index)
 {
     UdpSocket &sock = rxSockets_[index];
     EpollWaiter &waiter = *rxWaiters_[index];
-    // While the watchdog has something outstanding, RX's epoll wait
-    // times out after the sweep period in whole milliseconds.
+    // While a queue is muted, RX's epoll wait times out after the
+    // sweep period in whole milliseconds.
     const int sweepTimeoutMs = static_cast<int>(std::clamp<std::uint64_t>(
         (sweepPeriodNs() + 999'999) / 1'000'000, 1, 1 << 30));
 
-    Rng rng(cfg_.fault.seed * 0x9e3779b97f4a7c15ULL + index + 1);
     FramePool &pool = *rxPools_[index];
     // Reusable acquired frames: recvmmsg scatters into spare[0..k),
     // consumed ones leave with their Request (or reject), unconsumed
@@ -459,11 +443,9 @@ UdpServer::rxLoop(unsigned index)
     std::vector<std::uint64_t> admitLast(cfg_.numQueues, 0);
 
     while (running_.load(std::memory_order_relaxed)) {
-        // A stranded request shows as a backlog, so RX keeps the timer
-        // armed while it sees one; the sweep arms it for the rest.
-        const bool armed = sweepArmed_.load(std::memory_order_relaxed) ||
-                           backlog() > 0;
-        waiter.wait(armed ? sweepTimeoutMs : -1);
+        waiter.wait(sweepArmed_.load(std::memory_order_relaxed)
+                        ? sweepTimeoutMs
+                        : -1);
         for (;;) {
             // Top up the receive window with pool frames; recvmmsg
             // scatters straight into them at rxFrameOffset so the
@@ -588,19 +570,10 @@ UdpServer::rxLoop(unsigned index)
                 req.admitNs = admitNs;
                 req.tenant = tenant;
                 admitLast[qid] = admitNs;
-                // Open the seqlock window before the push so the
-                // watchdog never observes a pushed-but-unrung request
-                // without also seeing the window open.
-                if (counts[qid] == 0)
-                    rxInFlight_[qid].fetch_add(
-                        1, std::memory_order_release);
                 if (!reqQueues_[qid]->tryPush(std::move(req))) {
                     // Queue full: the deepest overload signal.  Still a
                     // typed reject, not a silent drop.
                     counters.add(shard, tenant, Counter::QueueDrops);
-                    if (counts[qid] == 0)
-                        rxInFlight_[qid].fetch_sub(
-                            1, std::memory_order_release);
                     // tryPush leaves its argument intact on failure, so
                     // the reject can still ride the request's frame.
                     shed(lane, Counter::ShedQueueFull, wire::statusShed,
@@ -631,41 +604,21 @@ UdpServer::rxLoop(unsigned index)
             }
 
             // One doorbell ring per (batch, queue), waking nobody yet:
-            // this thread serves a grant itself below.  The injectable
-            // drop models a lost doorbell snoop between RX and the
-            // notification device.
+            // this thread serves a grant itself below.
             const bool rang = !touched.empty();
             const std::uint64_t ringNs = lat && rang ? nowNs() : 0;
             for (QueueId qid : touched) {
-                const std::uint32_t cnt = counts[qid];
-                counts[qid] = 0;
-                const unsigned owner = tenants_->tenantOfQueue(qid);
                 if (lat) {
                     // One admit->doorbell sample per (batch, queue):
                     // the last admitted request's wait for its ring.
+                    const unsigned owner = tenants_->tenantOfQueue(qid);
                     lat->record(
                         shard, telemetry::ServerStage::AdmitDoorbell,
                         owner != TenantTable::invalidTenant ? owner : 0,
                         static_cast<double>(ringNs - admitLast[qid]));
                 }
-                if (cfg_.fault.dropRingProbability > 0.0 &&
-                    rng.chance(cfg_.fault.dropRingProbability)) {
-                    counters.add(shard, owner, Counter::RingsDropped);
-                    if (flight.enabled()) {
-                        flight.stamp(shard, trace::Stage::SnoopDropped,
-                                     trace::Phase::Instant, lane.track,
-                                     nowTicks(), qid, cnt);
-                    }
-                } else {
-                    hpDev_->ring(qid, cnt,
-                                 emu::EmuHyperPlane::Wake::Deferred);
-                }
-                // Close the window: advance the epoch before lowering
-                // the in-flight count so the watchdog can't see a
-                // settled count with a stale epoch.
-                rxEpoch_[qid].fetch_add(1, std::memory_order_release);
-                rxInFlight_[qid].fetch_sub(1,
-                                           std::memory_order_release);
+                hpDev_->ring(qid, std::exchange(counts[qid], 0),
+                             emu::EmuHyperPlane::Wake::Deferred);
             }
             touched.clear();
 
@@ -768,8 +721,7 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
     // across a QWAIT or a device call.
     std::lock_guard<std::mutex> owner(serving_[qid]);
     std::vector<Request> &reqs = lane.reqs;
-    // The doorbell can over-advertise (watchdog replays, drain races);
-    // serve what is actually queued.
+    // Serve what is actually queued, up to the grant.
     reqQueues_[qid]->popBatch(reqs, n);
     if (reqs.empty())
         return;
@@ -1013,54 +965,26 @@ UdpServer::sweepOnce()
                          trace::trackWatchdog, nowTicks(), qid, arg);
         }
     };
-    // Hand a demoted queue back to notification.
-    const auto promote = [&](QueueId qid, unsigned owner) {
-        fallback_.remove(qid);
-        recoveryCount_[qid] = 0;
-        cleanSweeps_[qid] = 0;
-        fstamp(trace::Stage::Promotion, qid);
-        counters.add(shard, owner, Counter::Promotions);
-    };
 
     counters.add(shard, CounterShards::noTenant, Counter::WatchdogSweeps);
     bool demotedThisSweep = false;
+    unsigned muted = 0;
     for (QueueId qid = 0; qid < cfg_.numQueues; ++qid) {
         const unsigned owner = tenants_->tenantOfQueue(qid);
-        // Seqlock read: an RX thread mid-batch has pushed requests whose
-        // ring is still coming — that window is not a deficit.  Sample
-        // the epoch and the window, read the counters, and re-check
-        // below: only a read taken entirely between windows can confirm
-        // a deficit.  The deficit is items pushed minus items ever
-        // advertised: two monotone producer-side totals, so no consumer
-        // (take() lowering the doorbell, popBatch() raising the pop
-        // count) can fake one.  Pushes are read first: a push + ring
-        // between the reads then under-counts (safe).
-        const std::uint32_t epoch0 =
-            rxEpoch_[qid].load(std::memory_order_acquire);
-        const bool open0 =
-            rxInFlight_[qid].load(std::memory_order_acquire) != 0;
-        const std::uint64_t pushed = reqQueues_[qid]->totalPushed();
-        // One device lock reads ring calls, ringed items and muted bit.
+        // One device lock reads the ring calls and the muted bit.
         const emu::EmuHyperPlane::QueueAudit dev = hpDev_->audit(qid);
 
         // Doorbell-storm audit: diff the device's monotonic ring-call
-        // counter across sweeps.  A queue ringing past the cap is
-        // demoted — muted on the device (its rings keep their
-        // accounting but wake nobody) and handed to the polled fallback
-        // path below.
+        // counter across sweeps.
         const std::uint64_t ringDelta =
             dev.ringCalls - std::exchange(ringsPrev_[qid], dev.ringCalls);
         const bool storm = cfg_.fault.doorbellRateCap > 0 &&
                            ringDelta > cfg_.fault.doorbellRateCap;
-        // Only an armed queue's deficit carries over to the next sweep.
-        const std::uint64_t deficitPrev = std::exchange(deficitPrev_[qid], 0);
 
         if (dev.muted) {
             // Muted: notification is severed, so progress is this
-            // sweep's poll.  Muted rings create no deficit — skip the
-            // deficit machinery entirely.
+            // sweep's poll.  Enough clean sweeps unmute and promote it.
             if (hpDev_->pollActivate(qid)) {
-                fallback_.polls.inc();
                 counters.add(shard, owner, Counter::FallbackServes);
                 fstamp(trace::Stage::FallbackServe, qid);
             }
@@ -1069,79 +993,30 @@ UdpServer::sweepOnce()
             } else if (++cleanSweeps_[qid] >=
                        cfg_.fault.promoteCleanSweeps) {
                 hpDev_->setMuted(qid, false);
-                promote(qid, owner);
+                fstamp(trace::Stage::Promotion, qid);
+                counters.add(shard, owner, Counter::Promotions);
+                continue;
             }
-            continue;
-        }
-        if (storm) {
+            ++muted;
+        } else if (storm) {
+            // Ringing past the cap: demote the queue.  Muted, its rings
+            // keep their items but wake nobody, and the branch above
+            // serves it from the next sweep on.
             hpDev_->setMuted(qid, true);
-            if (!fallback_.contains(qid))
-                fallback_.add(qid);
             cleanSweeps_[qid] = 0;
             demotedThisSweep = true;
+            ++muted;
             counters.add(shard, owner, Counter::Demotions);
-            counters.add(shard, owner, Counter::StormDemotions);
             fstamp(trace::Stage::Demotion, qid, ringDelta);
-            continue;
-        }
-
-        if (open0 || rxInFlight_[qid].load(std::memory_order_acquire) != 0 ||
-            rxEpoch_[qid].load(std::memory_order_acquire) != epoch0) {
-            continue;
-        }
-        const std::uint64_t deficit =
-            pushed > dev.ringedItems ? pushed - dev.ringedItems : 0;
-
-        if (fallback_.contains(qid)) {
-            // Demoted: polled mode.  Re-advertise any deficit every
-            // sweep; promote back after enough clean sweeps.
-            if (deficit > 0) {
-                cleanSweeps_[qid] = 0;
-                fallback_.polls.inc();
-                fallback_.tasksServed.inc(deficit);
-                counters.add(shard, owner, Counter::FallbackServes,
-                             deficit);
-                hpDev_->ring(qid, deficit);
-                fstamp(trace::Stage::FallbackServe, qid, deficit);
-            } else if (++cleanSweeps_[qid] >=
-                       cfg_.fault.promoteCleanSweeps) {
-                promote(qid, owner);
-            }
-            continue;
-        }
-
-        // Armed queue: a transient deficit is just an RX thread between
-        // push and ring, so recovery requires the deficit to persist
-        // across two consecutive sweeps.
-        if (deficit > 0 && deficitPrev > 0) {
-            const std::uint64_t lost = std::min(deficit, deficitPrev);
-            hpDev_->ring(qid, lost);
-            counters.add(shard, owner, Counter::WatchdogRecoveries);
-            fstamp(trace::Stage::WatchdogRecovery, qid, lost);
-            if (++recoveryCount_[qid] >= cfg_.fault.demoteThreshold) {
-                fallback_.add(qid);
-                cleanSweeps_[qid] = 0;
-                demotedThisSweep = true;
-                fstamp(trace::Stage::Demotion, qid);
-                counters.add(shard, owner, Counter::Demotions);
-            }
-        } else {
-            deficitPrev_[qid] = deficit;
         }
     }
 
     if (demotedThisSweep)
         maybeFlightDump(nowNs());
 
-    // With nothing outstanding the next sweep can find nothing: a lost
-    // ring strands only queued items (its deficit, pushed minus
-    // advertised, is at most the backlog), and muted queues are in
-    // fallback_.
-    sweepArmed_.store(
-        backlog() > 0 || !fallback_.empty() ||
-            std::any_of(deficitPrev_.begin(), deficitPrev_.end(),
-                        [](std::uint64_t d) { return d > 0; }),
-        std::memory_order_relaxed);
+    // A rung doorbell wakes a worker for every other queued item, so
+    // only a muted queue needs a sweep that no datagram brings.
+    sweepArmed_.store(muted > 0, std::memory_order_relaxed);
 }
 
 void

@@ -31,26 +31,25 @@
  * Handlers are the real workloads (echo, GRE-in-IPv6 encapsulation via
  * src/net, session-affinity steering via src/workloads, stateful apps).
  *
- * The fault layer rides along: an injectable RX->doorbell ring drop
- * models the lost-notification fault the simulator studies, and a
- * watchdog sweep audits queue depth against the advertised doorbell
- * value, replays missing rings, and gracefully demotes chronically
- * lossy queues to a software-polled mode (rescued every sweep) with
- * promotion back after clean sweeps — the emulation-side mirror of the
- * simulator's watchdog + FallbackSet machinery.  RX threads run the
- * sweeps on their wake-ups, with an epoll timer armed only while
- * something is outstanding, and workers park with no timeout: an idle
- * server's threads never wake.
+ * Doorbell-storm containment rides along: a watchdog sweep counts each
+ * queue's ring calls, mutes a queue that rings past a rate cap (its
+ * rings keep their items but wake nobody), serves it by polling it
+ * every sweep, and unmutes it after enough clean sweeps.  A ring
+ * cannot be lost here (it is a call under the device lock), so unlike
+ * the simulator's watchdog the sweep replays nothing.  RX threads run
+ * the sweeps on their wake-ups, with an epoll timer armed only while a
+ * queue is muted, and workers park with no timeout: an idle server's
+ * threads never wake.
  *
  * Instrumentation is one substrate.  Every count is one add into a
  * single-writer cell of telemetry::CounterShards (shard x tenant x
  * counter), and every event is stamped once, into the sampled
  * trace::FlightRecorder: DoorbellWrite and AdmissionShed (RX),
  * QwaitReturn (grant), Service spans and Completion (the serving
- * thread), SnoopDropped (an injected ring drop), plus the watchdog
- * events.  One period, telemetry.stageSampleEvery, picks the requests
- * that get both flight stamps and stage-histogram samples; 1 traces
- * every request, and flightTraceJson() renders the rings for Perfetto.
+ * thread), plus the watchdog's Demotion, FallbackServe and Promotion.
+ * One period, telemetry.stageSampleEvery, picks the requests that get
+ * both flight stamps and stage-histogram samples; 1 traces every
+ * request, and flightTraceJson() renders the rings for Perfetto.
  * Ticks are nsToTicks(ns since start), so exported microseconds are
  * wall-clock microseconds.
  */
@@ -70,13 +69,11 @@
 #include "core/ready_set.hh"
 #include "emu/data_plane_pool.hh"
 #include "emu/emu_hyperplane.hh"
-#include "fault/fallback_set.hh"
 #include "queueing/mpmc_queue.hh"
 #include "server/buffer_pool.hh"
 #include "server/tenant.hh"
 #include "server/udp_socket.hh"
 #include "server/wire.hh"
-#include "sim/rng.hh"
 #include "stats/counter.hh"
 #include "stats/registry.hh"
 #include "telemetry/metrics_server.hh"
@@ -89,26 +86,18 @@
 namespace hyperplane {
 namespace server {
 
-/** Fault injection + recovery knobs for the server's notification path. */
+/** Doorbell-storm containment and injection knobs. */
 struct ServerFaultConfig
 {
-    /**
-     * Probability that an RX batch's doorbell ring is dropped after the
-     * requests are queued — the real-thread analogue of a lost doorbell
-     * snoop.  0 disables injection.
-     */
-    double dropRingProbability = 0.0;
-    /** Seed for the per-RX-thread injection streams. */
+    /** Seed of the serving lanes' Steer-opcode steerers. */
     std::uint64_t seed = 1;
 
     /**
-     * Minimum spacing of the depth-vs-doorbell audit sweeps; while one
-     * has something outstanding, RX also wakes after this period
-     * (rounded up to whole milliseconds) to run the next.
+     * Minimum spacing of the storm-audit sweeps; while a queue is
+     * demoted, RX also wakes after this period (rounded up to whole
+     * milliseconds) to run the next.
      */
     double watchdogPeriodUs = 1000.0;
-    /** Watchdog recoveries of a queue before demotion to polled mode. */
-    unsigned demoteThreshold = 3;
     /** Clean sweeps of a demoted queue before promotion back. */
     unsigned promoteCleanSweeps = 16;
 
@@ -227,8 +216,6 @@ struct ServerCounterSnapshot
     std::uint64_t shedRateLimited = 0;
     std::uint64_t shedWatermark = 0;
     std::uint64_t shedQueueFull = 0;
-    std::uint64_t stormDemotions = 0;
-    std::uint64_t ringsDropped = 0;
     std::uint64_t badStatus = 0;
     /** Always 0: replies leave on the thread that served them, so no
      *  queue sits between service and send to overflow.  Kept for
@@ -236,7 +223,6 @@ struct ServerCounterSnapshot
     std::uint64_t txDrops = 0;
     std::uint64_t txSendErrors = 0;
     std::uint64_t watchdogSweeps = 0;
-    std::uint64_t watchdogRecoveries = 0;
     std::uint64_t fallbackServes = 0;
     std::uint64_t demotions = 0;
     std::uint64_t promotions = 0;
@@ -296,9 +282,6 @@ class UdpServer
 
     /** The notification device (doorbell / wake counters). */
     const emu::EmuHyperPlane &device() const { return *hpDev_; }
-
-    /** Demotion bookkeeping of the graceful-degradation path. */
-    const fault::FallbackSet &fallback() const { return fallback_; }
 
     /** Tenant map + admission state (valid after start()). */
     const TenantTable &tenantTable() const { return *tenants_; }
@@ -420,7 +403,7 @@ class UdpServer
     void rxLoop(unsigned index);
     /** sweepOnce() if a period has passed at @p ns and none is running. */
     void maybeSweep(std::uint64_t ns);
-    /** One watchdog audit of every queue.  @pre sweepMu_ held. */
+    /** One storm audit of every queue.  @pre sweepMu_ held. */
     void sweepOnce();
     /** ServerFaultConfig::watchdogPeriodUs in nanoseconds. */
     std::uint64_t sweepPeriodNs() const;
@@ -495,28 +478,15 @@ class UdpServer
     std::unique_ptr<TenantTable> tenants_;
 
     /** Held by the sweeping thread (RX, or stop() once RX is joined);
-     *  guards fallback_ through ringsPrev_, and lastDumpNs_. */
+     *  guards cleanSweeps_, ringsPrev_ and lastDumpNs_. */
     std::mutex sweepMu_;
     std::atomic<std::uint64_t> lastSweepNs_{0}; ///< ns since start()
-    /** The last sweep left something outstanding: keep RX's timer. */
+    /** The last sweep left a queue muted: keep RX's timer. */
     std::atomic<bool> sweepArmed_{false};
-    fault::FallbackSet fallback_;
-    std::vector<unsigned> recoveryCount_;
     std::vector<unsigned> cleanSweeps_;
-    std::vector<std::uint64_t> deficitPrev_;
     /** Per-queue ring-call count at the previous watchdog sweep (the
      *  storm audit diffs the device's monotonic counter against it). */
     std::vector<std::uint64_t> ringsPrev_;
-    /**
-     * Seqlock-style guard around the RX push..ring window (the audit's
-     * inherent race).  Per queue, rxInFlight_ counts RX threads that
-     * have pushed but not yet rung, and rxEpoch_ advances when such a
-     * window closes.  The watchdog skips a queue whose window is open
-     * (inFlight != 0) or closed mid-read (epoch moved), so an in-flight
-     * batch is never mistaken for a lost ring.
-     */
-    std::unique_ptr<std::atomic<std::uint32_t>[]> rxInFlight_;
-    std::unique_ptr<std::atomic<std::uint32_t>[]> rxEpoch_;
 
     // ----- telemetry state --------------------------------------------
     std::unique_ptr<telemetry::CounterShards> counters_;

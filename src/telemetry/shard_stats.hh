@@ -36,31 +36,28 @@ namespace telemetry {
  */
 enum class Counter : unsigned
 {
-    RxBatches,          ///< recvmmsg batches with >= 1 datagram
-    RxPackets,          ///< datagrams received
-    ParseErrors,        ///< datagrams rejected by the wire codec
-    Admitted,           ///< requests queued toward a serving thread
-    Served,             ///< requests completed by a serving thread
-    TxPackets,          ///< responses sent
-    QueueDrops,         ///< arrivals refused by a full request queue
-    PoolDrops,          ///< arrivals with no frame left even for a reject
-    ShedRateLimited,    ///< token-bucket rejects
-    ShedWatermark,      ///< backlog-watermark rejects
-    ShedQueueFull,      ///< full-queue and dry-pool rejects
-    StormDemotions,     ///< queues muted for ringing past the rate cap
-    RingsDropped,       ///< injected doorbell-ring drops
-    BadStatus,          ///< responses with a non-OK status
-    TxSendErrors,       ///< responses sendmmsg did not take
-    WatchdogSweeps,     ///< watchdog audit sweeps
-    WatchdogRecoveries, ///< lost rings the watchdog replayed
-    FallbackServes,     ///< work served by the polled fallback path
-    Demotions,          ///< queues demoted to polled mode (any cause)
-    Promotions,         ///< demoted queues promoted back
-    PoolExhausted,      ///< frame-pool acquires that found no frame
-    PayloadCopies,      ///< payload copies between RX and TX frames
+    RxBatches,       ///< recvmmsg batches with >= 1 datagram
+    RxPackets,       ///< datagrams received
+    ParseErrors,     ///< datagrams rejected by the wire codec
+    Admitted,        ///< requests queued toward a serving thread
+    Served,          ///< requests completed by a serving thread
+    TxPackets,       ///< responses sent
+    QueueDrops,      ///< arrivals refused by a full request queue
+    PoolDrops,       ///< arrivals with no frame left even for a reject
+    ShedRateLimited, ///< token-bucket rejects
+    ShedWatermark,   ///< backlog-watermark rejects
+    ShedQueueFull,   ///< full-queue and dry-pool rejects
+    BadStatus,       ///< responses with a non-OK status
+    TxSendErrors,    ///< responses sendmmsg did not take
+    WatchdogSweeps,  ///< watchdog audit sweeps
+    FallbackServes,  ///< polls that served a muted queue
+    Demotions,       ///< queues muted for ringing past the rate cap
+    Promotions,      ///< muted queues promoted back
+    PoolExhausted,   ///< frame-pool acquires that found no frame
+    PayloadCopies,   ///< payload copies between RX and TX frames
 };
 
-constexpr unsigned kNumCounters = 22;
+constexpr unsigned kNumCounters = 19;
 
 /**
  * The (shard x tenant column x counter) matrix of single-writer cells.

@@ -100,43 +100,6 @@ TEST(DataPlanePool, HonorsBatchLimit)
     EXPECT_LE(maxSeen.load(), 4u);
 }
 
-TEST(DataPlanePool, DrainServesEverythingBeforeStopping)
-{
-    EmuHyperPlane hp(4);
-    std::vector<QueueId> qids;
-    for (int i = 0; i < 4; ++i)
-        qids.push_back(*hp.addQueue());
-    std::atomic<std::uint64_t> handled{0};
-    DataPlanePool pool(hp, 2, [&](QueueId, std::uint64_t n) {
-        std::this_thread::sleep_for(100us); // slow handler
-        handled += n;
-    });
-    pool.start();
-    constexpr std::uint64_t total = 400;
-    for (std::uint64_t i = 0; i < total; ++i)
-        hp.ring(qids[i % qids.size()]);
-
-    // Drain must keep serving until the doorbells read zero, not just
-    // until in-flight batches finish.
-    EXPECT_TRUE(pool.drain(10s));
-    EXPECT_EQ(handled.load(), total);
-    EXPECT_EQ(hp.totalPending(), 0u);
-    EXPECT_FALSE(pool.running());
-}
-
-TEST(DataPlanePool, DrainDeadlineExpiresOnUnserveableBacklog)
-{
-    EmuHyperPlane hp(2);
-    const auto q = hp.addQueue();
-    DataPlanePool pool(hp, 1, [](QueueId, std::uint64_t) {
-        std::this_thread::sleep_for(50ms); // pathological handler
-    });
-    pool.start();
-    hp.ring(*q, 1000000);
-    EXPECT_FALSE(pool.drain(50ms));
-    EXPECT_FALSE(pool.running());
-}
-
 TEST(DataPlanePool, NoHandlerRunsAfterStopReturns)
 {
     EmuHyperPlane hp(2);

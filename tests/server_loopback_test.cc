@@ -10,13 +10,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <thread>
 
-#include "json_check.hh"
 #include "server/loadgen.hh"
 #include "server/server.hh"
 #include "trace/chrome_trace.hh"
@@ -131,122 +127,6 @@ TEST(ServerLoopback, StopDrainsAndNoHandlerRunsAfter)
     EXPECT_EQ(srv.counterSnapshot().served, served);
 }
 
-TEST(ServerLoopback, WatchdogRecoversDroppedRings)
-{
-    // Drop EVERY RX->doorbell ring: without the watchdog nothing would
-    // ever be served.  The watchdog's depth-vs-doorbell audit must
-    // replay the lost notifications and, at this drop rate, demote the
-    // afflicted queues to the polled fallback path.
-    ServerConfig cfg;
-    cfg.workers = 2;
-    cfg.numQueues = 4;
-    cfg.fault.dropRingProbability = 1.0;
-    cfg.fault.watchdogPeriodUs = 500.0;
-    cfg.fault.demoteThreshold = 2;
-    cfg.telemetry.stageSampleEvery = 1;
-    // The first demotion dumps the flight recorder to <prefix>_0.json.
-    cfg.telemetry.flightDumpPrefix =
-        ::testing::TempDir() + "hp_watchdog_flight";
-    UdpServer srv(cfg);
-    START_OR_SKIP(srv);
-
-    LoadGenConfig lg = loadgenFor(srv, 4000.0, 0.5);
-    lg.lingerSec = 1.0; // recovery adds up to two sweep periods
-    auto report = UdpLoadGen(lg).run();
-    ASSERT_TRUE(report.has_value());
-    EXPECT_TRUE(srv.stop());
-
-    ASSERT_GT(report->sent, 0u);
-    const ServerCounterSnapshot s = srv.counterSnapshot();
-    EXPECT_GT(s.ringsDropped, 0u);
-    EXPECT_GT(s.watchdogRecoveries, 0u);
-    // Everything was still answered, through recovery + fallback.
-    EXPECT_GE(report->completionRatio, 0.999);
-    EXPECT_GT(s.demotions, 0u);
-    EXPECT_GT(s.fallbackServes, 0u);
-
-    // The flight recorder holds the incident: the lost doorbells and
-    // the watchdog's replay of them.
-    bool sawDrop = false, sawRecovery = false;
-    for (const auto &e : srv.flightRecorder()->snapshot()) {
-        sawDrop |= e.stage == trace::Stage::SnoopDropped;
-        sawRecovery |= e.stage == trace::Stage::WatchdogRecovery;
-    }
-    EXPECT_TRUE(sawDrop);
-    EXPECT_TRUE(sawRecovery);
-    const std::string json = srv.flightTraceJson();
-    EXPECT_NE(json.find("snoop_dropped"), std::string::npos);
-    EXPECT_NE(json.find("watchdog_recovery"), std::string::npos);
-
-    // The demotion wrote a well-formed dump that holds the demotion.
-    ASSERT_GE(srv.flightDumps(), 1u);
-    const std::string dumpPath = cfg.telemetry.flightDumpPrefix + "_0.json";
-    std::string dump;
-    {
-        std::ifstream in(dumpPath);
-        EXPECT_TRUE(in) << dumpPath;
-        dump.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-    }
-    for (std::uint64_t n = 0; n < srv.flightDumps(); ++n) {
-        std::remove((cfg.telemetry.flightDumpPrefix + "_" +
-                     std::to_string(n) + ".json")
-                        .c_str());
-    }
-    EXPECT_TRUE(hyperplane::testing::jsonWellFormed(dump));
-    EXPECT_NE(dump.find("\"demotion\""), std::string::npos);
-}
-
-TEST(ServerSweep, DroppedRingAfterLastPacketIsRecovered)
-{
-    // Every ring is dropped and one burst is all that ever arrives: no
-    // later datagram wakes RX, and with a 20 ms period no sweep is due
-    // yet when the burst lands.  Only the timer RX arms on seeing the
-    // backlog can run the two sweeps that recover the requests.  The
-    // long wait lets a slowed (sanitized) server pass.
-    ServerConfig cfg;
-    cfg.fault.dropRingProbability = 1.0;
-    cfg.fault.watchdogPeriodUs = 20000.0;
-    UdpServer srv(cfg);
-    START_OR_SKIP(srv);
-
-    auto sockOpt = UdpSocket::open();
-    ASSERT_TRUE(sockOpt.has_value());
-    UdpSocket &sock = *sockOpt;
-    sockaddr_in peer{};
-    peer.sin_family = AF_INET;
-    peer.sin_addr.s_addr = htonl(0x7f000001);
-    peer.sin_port = htons(srv.port());
-    constexpr unsigned burst = 16;
-    std::vector<Datagram> out(burst), in;
-    for (unsigned i = 0; i < burst; ++i) {
-        wire::RequestHeader hdr;
-        hdr.seq = i;
-        hdr.flowId = i;
-        out[i].peer = peer;
-        out[i].bytes.resize(wire::RequestHeader::wireSize);
-        ASSERT_NE(wire::buildRequest(out[i].bytes.data(),
-                                     out[i].bytes.size(), hdr, nullptr),
-                  0u);
-    }
-    ASSERT_EQ(sock.sendBatch(out.data(), out.size()), out.size());
-
-    std::size_t received = 0;
-    const auto until = std::chrono::steady_clock::now() + 5s;
-    while (received < burst && std::chrono::steady_clock::now() < until) {
-        in.clear();
-        if (sock.recvBatch(in, burst) == 0)
-            std::this_thread::sleep_for(1ms);
-        received += in.size();
-    }
-    const ServerCounterSnapshot s = srv.counterSnapshot();
-    EXPECT_TRUE(srv.stop());
-
-    EXPECT_EQ(received, burst);
-    EXPECT_GT(s.ringsDropped, 0u);
-    EXPECT_GT(s.watchdogRecoveries, 0u);
-}
-
 TEST(ServerLoopback, IdleServerMakesNoTimerWakeups)
 {
     // With nothing outstanding RX blocks in epoll_wait and the workers
@@ -263,8 +143,8 @@ TEST(ServerLoopback, IdleServerMakesNoTimerWakeups)
 
 TEST(ServerLoopback, HealthyTrafficTriggersNoRecoveries)
 {
-    // The two-sweep deficit confirmation must not misfire on the
-    // ordinary push->ring race window of healthy RX threads.
+    // Healthy traffic from two RX threads stays under the storm cap:
+    // the watchdog sweeps throughout and never demotes a queue.
     ServerConfig cfg;
     cfg.rxThreads = 2;
     cfg.workers = 2;
@@ -279,7 +159,6 @@ TEST(ServerLoopback, HealthyTrafficTriggersNoRecoveries)
 
     const ServerCounterSnapshot s = srv.counterSnapshot();
     EXPECT_GT(s.watchdogSweeps, 10u);
-    EXPECT_EQ(s.watchdogRecoveries, 0u);
     EXPECT_EQ(s.demotions, 0u);
 }
 
