@@ -229,14 +229,13 @@ main(int argc, char **argv)
                 get(m, "hyperplane_server_pool_frames_total"),
                 get(m, "hyperplane_server_pool_frames_free"),
                 get(m, "hyperplane_server_payload_copies"));
-            std::printf("%10s %10s %8s %9s %9s %9s %7s %7s\n",
+            std::printf("%10s %10s %8s %9s %9s %9s %7s\n",
                         "served/s", "tx/s", "backlog", "e2e p50",
-                        "e2e p99", "e2e p999", "shed", "demote");
+                        "e2e p99", "e2e p999", "shed");
             first = false;
         } else {
             std::printf(
-                "%10.0f %10.0f %8.0f %8.1fu %8.1fu %8.1fu %7.0f "
-                "%7.0f\n",
+                "%10.0f %10.0f %8.0f %8.1fu %8.1fu %8.1fu %7.0f\n",
                 (served - prevServed) / interval,
                 (tx - prevTx) / interval,
                 get(m, "hyperplane_server_backlog"),
@@ -245,14 +244,13 @@ main(int argc, char **argv)
                 get(m, "hyperplane_server_stage_e2e_p999_ns") / 1e3,
                 get(m, "hyperplane_server_shed_watermark") +
                     get(m, "hyperplane_server_shed_rate_limited") +
-                    get(m, "hyperplane_server_shed_queue_full"),
-                get(m, "hyperplane_server_demotions"));
+                    get(m, "hyperplane_server_shed_queue_full"));
             std::fflush(stdout);
         }
         if (once) {
             // --once prints totals, not rates (there is no delta yet).
             std::printf("%10.0f %10.0f %8.0f %8.1fu %8.1fu %8.1fu "
-                        "%7.0f %7.0f\n",
+                        "%7.0f\n",
                         served, tx,
                         get(m, "hyperplane_server_backlog"),
                         get(m, "hyperplane_server_stage_e2e_p50_ns") /
@@ -262,8 +260,7 @@ main(int argc, char **argv)
                         get(m,
                             "hyperplane_server_stage_e2e_p999_ns") /
                             1e3,
-                        get(m, "hyperplane_server_shed_watermark"),
-                        get(m, "hyperplane_server_demotions"));
+                        get(m, "hyperplane_server_shed_watermark"));
             return 0;
         }
         prevServed = served;

@@ -20,15 +20,16 @@
  *   --rx N            RX threads / SO_REUSEPORT shards (default 2)
  *   --workers N       QWAIT worker threads             (default 2)
  *   --queues N        task queues                      (default 16)
- *   --stats-sec S     print received, served, sent, queue drops and
- *                     storm demotions every S seconds
+ *   --stats-sec S     print received, served, sent and queue drops
+ *                     every S seconds
  *   --metrics-port P  HTTP+UDP metrics endpoint (0 = ephemeral;
  *                     omitted = no endpoint)
  *   --metrics-ip A    metrics bind address (default 127.0.0.1)
  *   --sample-every N  per-request sampling period for flight stamps
  *                     and stage histograms (rounded down to a power of
  *                     two; default 32; 1 = trace every request)
- *   --flight-prefix S automatic flight dump path prefix
+ *   --flight-prefix S SIGUSR1 flight dump path prefix
+ *                     (default hyperplane_flight)
  *   --no-telemetry    disable histograms + flight recorder
  *   --dump-metrics    print the Prometheus page to stdout on exit
  *
@@ -40,6 +41,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "harness/export.hh"
@@ -71,6 +73,7 @@ int
 main(int argc, char **argv)
 {
     server::ServerConfig cfg;
+    std::string flightPrefix = "hyperplane_flight";
     if (const char *v = harness::argValue(argc, argv, "--ip"))
         cfg.bindIp = v;
     if (const char *v = harness::argValue(argc, argv, "--port"))
@@ -90,7 +93,7 @@ main(int argc, char **argv)
             static_cast<std::uint64_t>(std::atoll(v));
     if (const char *v =
             harness::argValue(argc, argv, "--flight-prefix"))
-        cfg.telemetry.flightDumpPrefix = v;
+        flightPrefix = v;
     if (harness::argPresent(argc, argv, "--no-telemetry"))
         cfg.telemetry.enabled = false;
     const bool dumpMetricsAtExit =
@@ -127,8 +130,7 @@ main(int argc, char **argv)
     while (!interrupted.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
         if (dumpFlight.exchange(false)) {
-            const std::string path =
-                cfg.telemetry.flightDumpPrefix + "_usr1.json";
+            const std::string path = flightPrefix + "_usr1.json";
             const bool ok = srv.dumpFlightTrace(path);
             std::printf("flight dump -> %s (%s)\n", path.c_str(),
                         ok ? "ok" : "FAILED");
@@ -142,13 +144,11 @@ main(int argc, char **argv)
                 const server::ServerCounterSnapshot s =
                     srv.counterSnapshot();
                 std::printf(
-                    "rx=%llu served=%llu tx=%llu drops=%llu "
-                    "demotions=%llu\n",
+                    "rx=%llu served=%llu tx=%llu drops=%llu\n",
                     static_cast<unsigned long long>(s.rxPackets),
                     static_cast<unsigned long long>(s.served),
                     static_cast<unsigned long long>(s.txPackets),
-                    static_cast<unsigned long long>(s.queueDrops),
-                    static_cast<unsigned long long>(s.demotions));
+                    static_cast<unsigned long long>(s.queueDrops));
                 std::fflush(stdout);
             }
         }

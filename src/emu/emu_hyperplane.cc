@@ -9,8 +9,7 @@ EmuHyperPlane::EmuHyperPlane(unsigned maxQueues,
                              core::ServicePolicy policy)
     : ready_(core::ReadySetConfig{maxQueues, policy,
                                   core::ArbiterKind::BrentKung, 1}),
-      doorbells_(maxQueues, 0), ringCalls_(maxQueues, 0),
-      registered_(maxQueues, false), muted_(maxQueues, false)
+      doorbells_(maxQueues, 0), registered_(maxQueues, false)
 {
     hp_assert(maxQueues > 0, "need at least one queue slot");
 }
@@ -42,7 +41,6 @@ EmuHyperPlane::removeQueue(QueueId qid)
         return;
     registered_[qid] = false;
     doorbells_[qid] = 0;
-    muted_[qid] = false;
     ready_.deactivate(qid);
     --numRegistered_;
 }
@@ -73,14 +71,6 @@ EmuHyperPlane::ring(QueueId qid, std::uint64_t n, Wake wake)
     hp_assert(qid < registered_.size(), "qid out of range");
     hp_assert(registered_[qid], "ring on unregistered queue");
     doorbells_[qid] += n;
-    ++ringCalls_[qid];
-    // Storm containment: a muted queue keeps its accounting (the items
-    // stay advertised) but the notification side is severed — only the
-    // watchdog's pollActivate() sweep moves it forward.
-    if (muted_[qid]) {
-        ++mutedRings_;
-        return;
-    }
     // The monitoring-set disarm/activate: mark the queue ready.  One
     // waiter per newly-grantable queue — a ring on an already-ready
     // queue wakes nobody (the pending state will be granted anyway).
@@ -95,48 +85,6 @@ EmuHyperPlane::wakeOneIfGrantable()
 {
     std::lock_guard<std::mutex> lock(m_);
     return ready_.readyCount() > wakesInFlight_ && notifyOne();
-}
-
-void
-EmuHyperPlane::setMuted(QueueId qid, bool muted)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    hp_assert(qid < muted_.size(), "qid out of range");
-    muted_[qid] = muted;
-    if (!muted && registered_[qid] && doorbells_[qid] > 0) {
-        // Unmuting must not strand advertised work until the next ring.
-        const bool wasGrantable = grantable(qid);
-        ready_.activate(qid);
-        notifyIfNewlyGrantable(qid, wasGrantable);
-    }
-}
-
-bool
-EmuHyperPlane::pollActivate(QueueId qid)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    hp_assert(qid < doorbells_.size(), "qid out of range");
-    if (!registered_[qid] || doorbells_[qid] == 0)
-        return false;
-    const bool wasGrantable = grantable(qid);
-    ready_.activate(qid);
-    notifyIfNewlyGrantable(qid, wasGrantable);
-    return true;
-}
-
-EmuHyperPlane::QueueAudit
-EmuHyperPlane::audit(QueueId qid) const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    hp_assert(qid < registered_.size(), "qid out of range");
-    return {ringCalls_[qid], muted_[qid]};
-}
-
-std::uint64_t
-EmuHyperPlane::mutedRings() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return mutedRings_;
 }
 
 std::optional<QueueId>
@@ -296,9 +244,6 @@ EmuHyperPlane::registerStats(stats::Registry &reg,
     });
     reg.addScalar(prefix + ".qwait_timeouts", [this] {
         return static_cast<double>(qwaitTimeouts());
-    });
-    reg.addScalar(prefix + ".muted_rings", [this] {
-        return static_cast<double>(mutedRings());
     });
 }
 

@@ -146,51 +146,6 @@ class EmuHyperPlane
     /** WRR weight control. */
     void setWeight(QueueId qid, std::uint32_t weight);
 
-    // --- Doorbell-storm containment -----------------------------------
-    //
-    // A storming producer rings a doorbell far faster than work arrives,
-    // turning every ring into a wakeup and every wakeup into a spurious
-    // take() on some worker.  Muting a queue decouples accounting from
-    // notification: ring() keeps advertising items (so nothing is lost)
-    // but stops activating the ready set or waking anyone.  A muted
-    // queue makes progress only through pollActivate() — the watchdog's
-    // software-polled fallback path — until the storm subsides and the
-    // watchdog unmutes it.
-
-    /**
-     * Mute/unmute @p qid.  Unmuting immediately re-activates the queue
-     * if items are pending, so no advertised work is stranded.
-     */
-    void setMuted(QueueId qid, bool muted);
-
-    bool isMuted(QueueId qid) const { return audit(qid).muted; }
-
-    /**
-     * Software-poll a muted (or any) queue: if its doorbell advertises
-     * items, activate it and wake one waiter.
-     * @return true if the queue had pending items.
-     */
-    bool pollActivate(QueueId qid);
-
-    /** What the watchdog reads about one queue, under one lock. */
-    struct QueueAudit
-    {
-        /** Monotonic count of ring() calls (calls, not items): the
-         *  watchdog diffs it across sweeps to detect doorbell storms. */
-        std::uint64_t ringCalls = 0;
-        bool muted = false;
-    };
-
-    QueueAudit audit(QueueId qid) const;
-
-    std::uint64_t ringCalls(QueueId qid) const
-    {
-        return audit(qid).ringCalls;
-    }
-
-    /** ring() calls swallowed while their queue was muted. */
-    std::uint64_t mutedRings() const;
-
     /** Doorbell value (advertised outstanding items). */
     std::uint64_t pendingItems(QueueId qid) const;
 
@@ -239,9 +194,7 @@ class EmuHyperPlane
     std::condition_variable cv_;
     core::ReadySet ready_;
     std::vector<std::uint64_t> doorbells_;
-    std::vector<std::uint64_t> ringCalls_;
     std::vector<bool> registered_;
-    std::vector<bool> muted_;
     unsigned numRegistered_ = 0;
     bool closed_ = false;
     unsigned waiters_ = 0;
@@ -251,7 +204,6 @@ class EmuHyperPlane
     std::uint64_t wakeups_ = 0;
     std::uint64_t spuriousWakes_ = 0;
     std::uint64_t qwaitTimeouts_ = 0;
-    std::uint64_t mutedRings_ = 0;
 };
 
 } // namespace emu

@@ -44,9 +44,6 @@ using telemetry::CounterShards;
 /** Per-queue request capacity (arrivals beyond it are dropped). */
 constexpr std::size_t kQueueCapacity = 8192;
 
-/** Minimum spacing of demotion-triggered flight dumps. */
-constexpr std::uint64_t kMinDumpGapNs = 1'000'000'000;
-
 /**
  * One row of the declared counter table: a counter's exported names,
  * which give its scope, and the snapshot field it fills.
@@ -82,12 +79,6 @@ constexpr CounterRow kCounterTable[] = {
      &S::shedQueueFull},
     {Counter::BadStatus, "responses_bad_status", nullptr, &S::badStatus},
     {Counter::TxSendErrors, "tx_send_errors", nullptr, &S::txSendErrors},
-    {Counter::WatchdogSweeps, "watchdog_sweeps", nullptr,
-     &S::watchdogSweeps},
-    {Counter::FallbackServes, "fallback_serves", nullptr,
-     &S::fallbackServes},
-    {Counter::Demotions, "demotions", "demotions", &S::demotions},
-    {Counter::Promotions, "promotions", "promotions", &S::promotions},
     {Counter::PoolExhausted, "pool.exhausted", nullptr, &S::poolExhausted},
     {Counter::PayloadCopies, "payload_copies", nullptr, &S::payloadCopies},
 };
@@ -242,7 +233,7 @@ UdpServer::start()
         lane.track = rx ? trace::trackHardwareBase + i : w;
         lane.sock = rx ? &rxSockets_[i] : &workerSockets_[w];
         lane.steerer = std::make_unique<workloads::PacketSteering>(
-            cfg_.fault.seed + (rx ? cfg_.workers + i : w));
+            cfg_.seed + (rx ? cfg_.workers + i : w));
         lanes_.push_back(std::move(lane));
     }
 
@@ -276,12 +267,6 @@ UdpServer::start()
         numTelemetryShards(), tcfg.recorderCapacity,
         tcfg.enabled ? std::max<std::uint64_t>(1, tcfg.stageSampleEvery)
                      : 0);
-    lastDumpNs_ = 0;
-    lastSweepNs_.store(0);
-    sweepArmed_.store(false);
-
-    cleanSweeps_.assign(cfg_.numQueues, 0);
-    ringsPrev_.assign(cfg_.numQueues, 0);
 
     running_.store(true);
 
@@ -331,16 +316,13 @@ UdpServer::stop(std::chrono::nanoseconds drainDeadline)
     rxThreads_.clear();
     rxWaiters_.clear();
 
-    // 2. Drain accepted requests and the doorbell residual.  The sweeps
-    //    go on here: a muted queue's items are served only by a sweep's
-    //    poll.
+    // 2. Drain accepted requests and the doorbell residual: every
+    //    queued item was rung, so the workers serve it.
     const auto idle = [this] {
         return backlog() == 0 && hpDev_->totalPending() == 0;
     };
-    while (!idle() && steady_clock::now() < deadline) {
-        maybeSweep(nowNs());
+    while (!idle() && steady_clock::now() < deadline)
         std::this_thread::sleep_for(microseconds(200));
-    }
     const bool drained = idle();
 
     // 3. Stop the workers.  After this returns the pool threads are
@@ -399,10 +381,6 @@ UdpServer::rxLoop(unsigned index)
 {
     UdpSocket &sock = rxSockets_[index];
     EpollWaiter &waiter = *rxWaiters_[index];
-    // While a queue is muted, RX's epoll wait times out after the
-    // sweep period in whole milliseconds.
-    const int sweepTimeoutMs = static_cast<int>(std::clamp<std::uint64_t>(
-        (sweepPeriodNs() + 999'999) / 1'000'000, 1, 1 << 30));
 
     FramePool &pool = *rxPools_[index];
     // Reusable acquired frames: recvmmsg scatters into spare[0..k),
@@ -424,9 +402,6 @@ UdpServer::rxLoop(unsigned index)
     std::vector<std::uint32_t> counts(cfg_.numQueues, 0);
     std::vector<QueueId> touched;
     const bool shedEnabled = cfg_.shedHighWatermark > 0;
-    const bool stormOn =
-        cfg_.fault.stormRingsPerBatch > 0 &&
-        cfg_.fault.stormTenant < tenants_->numTenants();
 
     // Telemetry: this thread is the single writer of shard `shard`,
     // and the only user of its lane.
@@ -443,9 +418,7 @@ UdpServer::rxLoop(unsigned index)
     std::vector<std::uint64_t> admitLast(cfg_.numQueues, 0);
 
     while (running_.load(std::memory_order_relaxed)) {
-        waiter.wait(sweepArmed_.load(std::memory_order_relaxed)
-                        ? sweepTimeoutMs
-                        : -1);
+        waiter.wait(-1);
         for (;;) {
             // Top up the receive window with pool frames; recvmmsg
             // scatters straight into them at rxFrameOffset so the
@@ -488,7 +461,6 @@ UdpServer::rxLoop(unsigned index)
             // One backlog sample per batch is plenty for watermark
             // shedding: the thresholds are hundreds of requests wide.
             const std::size_t backlogNow = shedEnabled ? backlog() : 0;
-            bool stormSeen = false;
 
             // Batched magic/version/opcode validation through the
             // dispatched (SIMD on capable hosts) header-check kernel;
@@ -512,7 +484,6 @@ UdpServer::rxLoop(unsigned index)
                 }
                 const sockaddr_in &peer = slots[i].peer;
                 const unsigned tenant = tenants_->tenantOf(hdr->flowId);
-                stormSeen |= stormOn && tenant == cfg_.fault.stormTenant;
 
                 FlowKey key;
                 key.srcIp = ntohl(peer.sin_addr.s_addr);
@@ -637,24 +608,7 @@ UdpServer::rxLoop(unsigned index)
             sendReplies(lane);
             if (rang)
                 hpDev_->wakeOneIfGrantable();
-
-            // Doorbell-storm injection: the adversarial tenant's driver
-            // rings its whole queue group with zero-item doorbells,
-            // burning wakeups on spurious grants until the watchdog's
-            // rate cap mutes the queues.
-            if (stormSeen) {
-                const dp::TenantSpec &s =
-                    tenants_->spec(cfg_.fault.stormTenant);
-                for (unsigned r = 0; r < cfg_.fault.stormRingsPerBatch;
-                     ++r) {
-                    hpDev_->ring(s.queueFirst + r % s.queueCount, 0);
-                }
-            }
-            // Sweep between batches too, so a socket that never runs
-            // dry cannot starve the audit.
-            maybeSweep(rxNs);
         }
-        maybeSweep(nowNs());
     }
 }
 
@@ -927,114 +881,6 @@ UdpServer::sendReplies(Lane &lane)
     out.clear();
 }
 
-std::uint64_t
-UdpServer::sweepPeriodNs() const
-{
-    return static_cast<std::uint64_t>(
-        std::max(0.0, cfg_.fault.watchdogPeriodUs) * 1e3);
-}
-
-void
-UdpServer::maybeSweep(std::uint64_t ns)
-{
-    const auto due = [&] {
-        return ns >= lastSweepNs_.load(std::memory_order_relaxed) +
-                         sweepPeriodNs();
-    };
-    if (!due())
-        return;
-    std::unique_lock<std::mutex> lock(sweepMu_, std::try_to_lock);
-    if (!lock.owns_lock() || !due())
-        return;
-    lastSweepNs_.store(ns, std::memory_order_relaxed);
-    sweepOnce();
-}
-
-void
-UdpServer::sweepOnce()
-{
-    const unsigned shard = watchdogShard();
-    CounterShards &counters = *counters_;
-    trace::FlightRecorder &flight = *flight_;
-    // No per-sweep WatchdogSweep stamp: at one per period it would
-    // evict the incident events this ring exists to keep.
-    const auto fstamp = [&](trace::Stage st, QueueId qid,
-                            std::uint64_t arg = 0) {
-        if (flight.enabled()) {
-            flight.stamp(shard, st, trace::Phase::Instant,
-                         trace::trackWatchdog, nowTicks(), qid, arg);
-        }
-    };
-
-    counters.add(shard, CounterShards::noTenant, Counter::WatchdogSweeps);
-    bool demotedThisSweep = false;
-    unsigned muted = 0;
-    for (QueueId qid = 0; qid < cfg_.numQueues; ++qid) {
-        const unsigned owner = tenants_->tenantOfQueue(qid);
-        // One device lock reads the ring calls and the muted bit.
-        const emu::EmuHyperPlane::QueueAudit dev = hpDev_->audit(qid);
-
-        // Doorbell-storm audit: diff the device's monotonic ring-call
-        // counter across sweeps.
-        const std::uint64_t ringDelta =
-            dev.ringCalls - std::exchange(ringsPrev_[qid], dev.ringCalls);
-        const bool storm = cfg_.fault.doorbellRateCap > 0 &&
-                           ringDelta > cfg_.fault.doorbellRateCap;
-
-        if (dev.muted) {
-            // Muted: notification is severed, so progress is this
-            // sweep's poll.  Enough clean sweeps unmute and promote it.
-            if (hpDev_->pollActivate(qid)) {
-                counters.add(shard, owner, Counter::FallbackServes);
-                fstamp(trace::Stage::FallbackServe, qid);
-            }
-            if (storm) {
-                cleanSweeps_[qid] = 0;
-            } else if (++cleanSweeps_[qid] >=
-                       cfg_.fault.promoteCleanSweeps) {
-                hpDev_->setMuted(qid, false);
-                fstamp(trace::Stage::Promotion, qid);
-                counters.add(shard, owner, Counter::Promotions);
-                continue;
-            }
-            ++muted;
-        } else if (storm) {
-            // Ringing past the cap: demote the queue.  Muted, its rings
-            // keep their items but wake nobody, and the branch above
-            // serves it from the next sweep on.
-            hpDev_->setMuted(qid, true);
-            cleanSweeps_[qid] = 0;
-            demotedThisSweep = true;
-            ++muted;
-            counters.add(shard, owner, Counter::Demotions);
-            fstamp(trace::Stage::Demotion, qid, ringDelta);
-        }
-    }
-
-    if (demotedThisSweep)
-        maybeFlightDump(nowNs());
-
-    // A rung doorbell wakes a worker for every other queued item, so
-    // only a muted queue needs a sweep that no datagram brings.
-    sweepArmed_.store(muted > 0, std::memory_order_relaxed);
-}
-
-void
-UdpServer::maybeFlightDump(std::uint64_t ns)
-{
-    if (!flight_ || !flight_->enabled())
-        return;
-    if (lastDumpNs_ != 0 && ns - lastDumpNs_ < kMinDumpGapNs)
-        return;
-    lastDumpNs_ = ns;
-    const std::uint64_t n =
-        flightDumps_.fetch_add(1, std::memory_order_relaxed);
-    const std::string path = cfg_.telemetry.flightDumpPrefix + "_" +
-                             std::to_string(n) + ".json";
-    if (!dumpFlightTrace(path))
-        hp_warn("UdpServer: flight dump to '%s' failed", path.c_str());
-}
-
 void
 UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
 {
@@ -1101,9 +947,6 @@ UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
     reg.addScalar(prefix + ".telemetry.flight_sample_every", [this] {
         return flight_ ? static_cast<double>(flight_->sampleEvery())
                        : 0.0;
-    });
-    reg.addScalar(prefix + ".telemetry.flight_dumps", [this] {
-        return static_cast<double>(flightDumps());
     });
     reg.addScalar(prefix + ".telemetry.metrics_requests", [this] {
         return metrics_

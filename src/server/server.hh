@@ -31,14 +31,11 @@
  * Handlers are the real workloads (echo, GRE-in-IPv6 encapsulation via
  * src/net, session-affinity steering via src/workloads, stateful apps).
  *
- * Doorbell-storm containment rides along: a watchdog sweep counts each
- * queue's ring calls, mutes a queue that rings past a rate cap (its
- * rings keep their items but wake nobody), serves it by polling it
- * every sweep, and unmutes it after enough clean sweeps.  A ring
- * cannot be lost here (it is a call under the device lock), so unlike
- * the simulator's watchdog the sweep replays nothing.  RX threads run
- * the sweeps on their wake-ups, with an epoll timer armed only while a
- * queue is muted, and workers park with no timeout: an idle server's
+ * RX threads are the only ringers, and each rings a touched queue once
+ * per batch with at least one item, so there is no doorbell storm to
+ * contain and no ring to lose (a ring is a call under the device
+ * lock): nothing sweeps the queues.  RX blocks in epoll_wait and the
+ * workers park in QWAIT, neither with a timeout, so an idle server's
  * threads never wake.
  *
  * Instrumentation is one substrate.  Every count is one add into a
@@ -46,7 +43,7 @@
  * counter), and every event is stamped once, into the sampled
  * trace::FlightRecorder: DoorbellWrite and AdmissionShed (RX),
  * QwaitReturn (grant), Service spans and Completion (the serving
- * thread), plus the watchdog's Demotion, FallbackServe and Promotion.
+ * thread).
  * One period, telemetry.stageSampleEvery, picks the requests that get
  * both flight stamps and stage-histogram samples; 1 traces every
  * request, and flightTraceJson() renders the rings for Perfetto.
@@ -85,41 +82,6 @@
 
 namespace hyperplane {
 namespace server {
-
-/** Doorbell-storm containment and injection knobs. */
-struct ServerFaultConfig
-{
-    /** Seed of the serving lanes' Steer-opcode steerers. */
-    std::uint64_t seed = 1;
-
-    /**
-     * Minimum spacing of the storm-audit sweeps; while a queue is
-     * demoted, RX also wakes after this period (rounded up to whole
-     * milliseconds) to run the next.
-     */
-    double watchdogPeriodUs = 1000.0;
-    /** Clean sweeps of a demoted queue before promotion back. */
-    unsigned promoteCleanSweeps = 16;
-
-    /**
-     * Doorbell-storm containment: a queue ringing more than this many
-     * times in one watchdog sweep is demoted — muted on the device (its
-     * rings stop waking workers) and served by the watchdog's polled
-     * sweep until it stays under the cap for promoteCleanSweeps sweeps.
-     * 0 disables containment.
-     */
-    std::uint64_t doorbellRateCap = 0;
-
-    /**
-     * Adversarial doorbell-storm injection: whenever an RX batch
-     * contains a packet of @ref stormTenant, ring that tenant's queues
-     * stormRingsPerBatch extra times with zero items — the thundering
-     * herd a buggy or hostile guest driver produces.  stormTenant
-     * unsigned(-1) or stormRingsPerBatch 0 disables injection.
-     */
-    unsigned stormTenant = static_cast<unsigned>(-1);
-    unsigned stormRingsPerBatch = 0;
-};
 
 /** UDP server configuration. */
 struct ServerConfig
@@ -178,7 +140,8 @@ struct ServerConfig
     std::size_t shedLowWatermark = 0;
     std::size_t shedHighWatermark = 0;
 
-    ServerFaultConfig fault;
+    /** Seed of the serving lanes' Steer-opcode steerers. */
+    std::uint64_t seed = 1;
 
     /**
      * Stateful application knobs (opcodes 3..5).  numShards is
@@ -222,10 +185,6 @@ struct ServerCounterSnapshot
      *  callers that sum it into their loss accounting. */
     std::uint64_t txDrops = 0;
     std::uint64_t txSendErrors = 0;
-    std::uint64_t watchdogSweeps = 0;
-    std::uint64_t fallbackServes = 0;
-    std::uint64_t demotions = 0;
-    std::uint64_t promotions = 0;
 
     /** Every reject flavour combined. */
     std::uint64_t shedTotal() const
@@ -325,12 +284,6 @@ class UdpServer
     /** Write flightTraceJson() to @p path. @return false on IO error. */
     bool dumpFlightTrace(const std::string &path) const;
 
-    /** Demotion-triggered flight dumps performed so far. */
-    std::uint64_t flightDumps() const
-    {
-        return flightDumps_.load(std::memory_order_relaxed);
-    }
-
     /**
      * Bound metrics-endpoint port, or -1 when the endpoint is not
      * running (telemetry.metricsPort < 0, or the bind failed).
@@ -401,12 +354,6 @@ class UdpServer
     };
 
     void rxLoop(unsigned index);
-    /** sweepOnce() if a period has passed at @p ns and none is running. */
-    void maybeSweep(std::uint64_t ns);
-    /** One storm audit of every queue.  @pre sweepMu_ held. */
-    void sweepOnce();
-    /** ServerFaultConfig::watchdogPeriodUs in nanoseconds. */
-    std::uint64_t sweepPeriodNs() const;
     /**
      * Serve @p n granted items of @p qid and send lane.out, holding the
      * queue's serving lock from the pop to the send.
@@ -435,21 +382,13 @@ class UdpServer
     Tick nowTicks() const;
 
     // Telemetry shard ids: one single-writer shard per RX shard and
-    // worker (also their lane index) plus one for the watchdog, written
-    // by whichever thread holds sweepMu_.
+    // worker, also their lane index.
     unsigned rxShard(unsigned i) const { return i; }
     unsigned workerShard(unsigned w) const { return cfg_.rxThreads + w; }
-    unsigned watchdogShard() const
+    unsigned numTelemetryShards() const
     {
         return cfg_.rxThreads + cfg_.workers;
     }
-    unsigned numTelemetryShards() const { return watchdogShard() + 1; }
-
-    /**
-     * Demotion flight dump (sweepMu_ held): unless one was written less
-     * than a second ago, writes "<prefix>_<n>.json".
-     */
-    void maybeFlightDump(std::uint64_t ns);
 
     ServerConfig cfg_;
 
@@ -477,17 +416,6 @@ class UdpServer
 
     std::unique_ptr<TenantTable> tenants_;
 
-    /** Held by the sweeping thread (RX, or stop() once RX is joined);
-     *  guards cleanSweeps_, ringsPrev_ and lastDumpNs_. */
-    std::mutex sweepMu_;
-    std::atomic<std::uint64_t> lastSweepNs_{0}; ///< ns since start()
-    /** The last sweep left a queue muted: keep RX's timer. */
-    std::atomic<bool> sweepArmed_{false};
-    std::vector<unsigned> cleanSweeps_;
-    /** Per-queue ring-call count at the previous watchdog sweep (the
-     *  storm audit diffs the device's monotonic counter against it). */
-    std::vector<std::uint64_t> ringsPrev_;
-
     // ----- telemetry state --------------------------------------------
     std::unique_ptr<telemetry::CounterShards> counters_;
     std::unique_ptr<telemetry::StageLatencyShards> stageLat_;
@@ -497,9 +425,6 @@ class UdpServer
     std::unique_ptr<telemetry::MetricsServer> metrics_;
     /** Registry backing the endpoint (populated in start()). */
     std::unique_ptr<stats::Registry> selfReg_;
-    std::atomic<std::uint64_t> flightDumps_{0};
-    /** Time of the last demotion dump (sweepMu_ held). */
-    std::uint64_t lastDumpNs_ = 0;
 
     std::atomic<bool> running_{false};
 

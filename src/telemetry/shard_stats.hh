@@ -49,24 +49,20 @@ enum class Counter : unsigned
     ShedQueueFull,   ///< full-queue and dry-pool rejects
     BadStatus,       ///< responses with a non-OK status
     TxSendErrors,    ///< responses sendmmsg did not take
-    WatchdogSweeps,  ///< watchdog audit sweeps
-    FallbackServes,  ///< polls that served a muted queue
-    Demotions,       ///< queues muted for ringing past the rate cap
-    Promotions,      ///< muted queues promoted back
     PoolExhausted,   ///< frame-pool acquires that found no frame
     PayloadCopies,   ///< payload copies between RX and TX frames
 };
 
-constexpr unsigned kNumCounters = 19;
+constexpr unsigned kNumCounters = 15;
 
 /**
  * The (shard x tenant column x counter) matrix of single-writer cells.
- * A "shard" is one stage thread (RX shard, worker, or the watchdog) and
- * only ever writes its own cells; each shard's block starts on a fresh
- * cache line so two threads never share one.  Tenants 0..tenants-1
- * have a column each, and one more column holds the counts that belong
- * to no tenant: batches, parse errors, sweeps, sends, and events on a
- * queue no tenant owns.  Every total is a sum over the matrix.
+ * A "shard" is one stage thread (an RX shard or a worker) and only
+ * ever writes its own cells; each shard's block starts on a fresh cache
+ * line so two threads never share one.  Tenants 0..tenants-1 have a
+ * column each, and one more column holds the counts that belong to no
+ * tenant: batches, parse errors, sends, and events on a queue no tenant
+ * owns.  Every total is a sum over the matrix.
  */
 class CounterShards
 {

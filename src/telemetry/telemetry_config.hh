@@ -57,13 +57,6 @@ struct TelemetryConfig
 
     /** Bind address for the metrics endpoint. */
     std::string metricsIp = "127.0.0.1";
-
-    /**
-     * Path prefix for the flight-recorder dumps a watchdog demotion
-     * triggers (at most one per second); dump n writes
-     * "<prefix>_<n>.json" (Perfetto trace-event JSON).
-     */
-    std::string flightDumpPrefix = "hyperplane_flight";
 };
 
 } // namespace telemetry

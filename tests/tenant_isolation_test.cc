@@ -1,9 +1,7 @@
 /**
  * @file
  * Multi-tenant overload control: tenant spec validation, token-bucket
- * admission, the TenantTable, doorbell-storm muting on the emulated
- * device, watchdog demotion/promotion under concurrent per-tenant
- * demand (the TSan target), and end-to-end loopback isolation.  The
+ * admission, the TenantTable, and end-to-end loopback isolation.  The
  * loopback tests skip with an annotation when the sandbox forbids
  * sockets.
  */
@@ -11,33 +9,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <initializer_list>
 #include <iterator>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "dp/sdp_system.hh"
 #include "dp/tenant_spec.hh"
-#include "emu/data_plane_pool.hh"
-#include "emu/emu_hyperplane.hh"
-#include "json_check.hh"
 #include "server/loadgen.hh"
 #include "server/server.hh"
 #include "server/tenant.hh"
 #include "stats/registry.hh"
-#include "trace/trace.hh"
 
 namespace hyperplane {
 namespace {
-
-using namespace std::chrono_literals;
 
 dp::TenantSpec
 spec(const char *name, std::uint32_t weight, std::uint32_t priority,
@@ -254,161 +241,6 @@ TEST(TenantTable, ThrowsOnMalformedSpecsAndWatermarks)
                  std::invalid_argument);
 }
 
-// --- Device-side storm muting ---
-
-TEST(EmuMute, MutedRingKeepsAccountingButWakesNobody)
-{
-    emu::EmuHyperPlane hp(4);
-    const auto qid = hp.addQueue();
-    ASSERT_TRUE(qid.has_value());
-
-    hp.setMuted(*qid, true);
-    EXPECT_TRUE(hp.isMuted(*qid));
-    hp.ring(*qid, 3);
-    EXPECT_EQ(hp.pendingItems(*qid), 3u);
-    EXPECT_EQ(hp.ringCalls(*qid), 1u);
-    EXPECT_EQ(hp.mutedRings(), 1u);
-    // The doorbell advertises work, but the ready set never armed.
-    EXPECT_FALSE(hp.qwaitNonBlocking().has_value());
-}
-
-TEST(EmuMute, PollActivateServesAMutedQueue)
-{
-    emu::EmuHyperPlane hp(4);
-    const auto qid = hp.addQueue();
-    ASSERT_TRUE(qid.has_value());
-    hp.setMuted(*qid, true);
-    hp.ring(*qid, 2);
-
-    EXPECT_TRUE(hp.pollActivate(*qid));
-    const auto granted = hp.qwaitNonBlocking();
-    ASSERT_TRUE(granted.has_value());
-    EXPECT_EQ(*granted, *qid);
-    EXPECT_EQ(hp.take(*qid, 16), 2u);
-    // Nothing left: pollActivate refuses to arm an empty queue.
-    EXPECT_FALSE(hp.pollActivate(*qid));
-}
-
-TEST(EmuMute, UnmuteReactivatesPendingWork)
-{
-    emu::EmuHyperPlane hp(4);
-    const auto qid = hp.addQueue();
-    ASSERT_TRUE(qid.has_value());
-    hp.setMuted(*qid, true);
-    hp.ring(*qid, 1);
-    EXPECT_FALSE(hp.qwaitNonBlocking().has_value());
-
-    hp.setMuted(*qid, false);
-    const auto granted = hp.qwaitNonBlocking();
-    ASSERT_TRUE(granted.has_value());
-    EXPECT_EQ(*granted, *qid);
-}
-
-/**
- * The TSan target: concurrent per-tenant demand while a watchdog-style
- * sweeper demotes (mutes) a storming queue and promotes it back after
- * the storm ends.  Healthy traffic must be fully served throughout,
- * and every mute/poll/unmute crosses threads with the producers.
- */
-TEST(StormContainment, WatchdogMutesAndPromotesUnderConcurrency)
-{
-    constexpr unsigned numQueues = 4;
-    constexpr QueueId stormQ = 3;
-    constexpr std::uint64_t healthyItems = 2000;
-    constexpr std::uint64_t ringCap = 200; // rings per sweep
-
-    emu::EmuHyperPlane hp(numQueues);
-    for (unsigned q = 0; q < numQueues; ++q)
-        ASSERT_TRUE(hp.addQueue().has_value());
-
-    std::atomic<std::uint64_t> served[numQueues] = {};
-    emu::DataPlanePool pool(
-        hp, 2,
-        [&](QueueId qid, std::uint64_t n) {
-            served[qid].fetch_add(n, std::memory_order_relaxed);
-        },
-        16);
-    pool.start();
-
-    std::atomic<bool> storming{true};
-    std::thread storm([&] {
-        while (storming.load(std::memory_order_relaxed)) {
-            hp.ring(stormQ, 0); // zero-item doorbell: pure wakeup
-            std::this_thread::sleep_for(10us);
-        }
-    });
-
-    std::vector<std::thread> producers;
-    for (QueueId q = 0; q < numQueues - 1; ++q) {
-        producers.emplace_back([&hp, q] {
-            for (std::uint64_t i = 0; i < healthyItems; ++i) {
-                hp.ring(q, 1);
-                if (i % 64 == 0)
-                    std::this_thread::sleep_for(100us);
-            }
-        });
-    }
-
-    std::atomic<bool> sweeping{true};
-    std::atomic<unsigned> demotions{0};
-    std::atomic<unsigned> promotions{0};
-    std::thread sweeper([&] {
-        std::uint64_t prev[numQueues] = {};
-        unsigned clean[numQueues] = {};
-        while (sweeping.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(1ms);
-            for (QueueId q = 0; q < numQueues; ++q) {
-                const std::uint64_t rings = hp.ringCalls(q);
-                const std::uint64_t delta = rings - prev[q];
-                prev[q] = rings;
-                if (hp.isMuted(q)) {
-                    hp.pollActivate(q);
-                    if (delta > ringCap) {
-                        clean[q] = 0;
-                    } else if (++clean[q] >= 3) {
-                        hp.setMuted(q, false);
-                        clean[q] = 0;
-                        promotions.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                } else if (delta > ringCap) {
-                    hp.setMuted(q, true);
-                    clean[q] = 0;
-                    demotions.fetch_add(1, std::memory_order_relaxed);
-                }
-            }
-        }
-    });
-
-    for (auto &t : producers)
-        t.join();
-    // Let the storm rage a little longer, then end it and give the
-    // sweeper time to promote the queue back.
-    std::this_thread::sleep_for(20ms);
-    storming.store(false);
-    storm.join();
-    std::this_thread::sleep_for(30ms);
-
-    // The workers serve on until every doorbell reads zero; the
-    // sweeper's polls keep a still-muted queue moving meanwhile.
-    const auto until = std::chrono::steady_clock::now() + 2s;
-    while (hp.totalPending() != 0 &&
-           std::chrono::steady_clock::now() < until) {
-        std::this_thread::sleep_for(1ms);
-    }
-    EXPECT_EQ(hp.totalPending(), 0u);
-    pool.stop();
-    sweeping.store(false);
-    sweeper.join();
-
-    for (QueueId q = 0; q < numQueues - 1; ++q) {
-        EXPECT_EQ(served[q].load(), healthyItems) << "queue " << q;
-    }
-    EXPECT_GE(demotions.load(), 1u);
-    EXPECT_GE(promotions.load(), 1u);
-    EXPECT_GT(hp.mutedRings(), 0u);
-}
-
 // --- Loopback isolation (skips without sockets) ---
 
 #define START_OR_SKIP(srv)                                             \
@@ -465,20 +297,16 @@ serverStatNames(server::UdpServer &srv)
 // behind them cannot rename, drop or add one unnoticed.
 const char *const kServerWideStats[] = {
     "server.backlog",
-    "server.demotions",
     "server.dev.grants",
-    "server.dev.muted_rings",
     "server.dev.qwait_timeouts",
     "server.dev.spurious_wakes",
     "server.dev.wakeups",
-    "server.fallback_serves",
     "server.payload_copies",
     "server.pool.exhausted",
     "server.pool.frames_free",
     "server.pool.frames_total",
     "server.pool.reject_reserve_free",
     "server.pool_drops",
-    "server.promotions",
     "server.requests_served",
     "server.requests_served_inline",
     "server.responses_bad_status",
@@ -518,21 +346,17 @@ const char *const kServerWideStats[] = {
     "server.stage.service_tx.p50_ns",
     "server.stage.service_tx.p999_ns",
     "server.stage.service_tx.p99_ns",
-    "server.telemetry.flight_dumps",
     "server.telemetry.flight_recorded",
     "server.telemetry.flight_sample_every",
     "server.telemetry.metrics_requests",
     "server.tx_packets",
     "server.tx_send_errors",
     "server.uptime_seconds",
-    "server.watchdog_sweeps",
 };
 
 /** Names every tenant exports under server.tenant.<name>. */
 const char *const kPerTenantStats[] = {
     "admitted",
-    "demotions",
-    "promotions",
     "queue_full_shed",
     "rate_limited",
     "served",
@@ -604,8 +428,6 @@ TEST(ServerTenantLoopback, StatsSchemaAndTenantSumsHold)
         {"shed_watermark", "watermark_shed"},
         {"shed_queue_full", "queue_full_shed"},
         {"requests_served", "served"},
-        {"demotions", "demotions"},
-        {"promotions", "promotions"},
     };
     for (const auto &[wide, perTenant] : sums) {
         EXPECT_EQ(reg.value(std::string("server.") + wide),
@@ -663,83 +485,6 @@ TEST(ServerTenantLoopback, RateLimitedExcessIsShedNotLost)
     EXPECT_TRUE(srv.stop());
 }
 
-TEST(ServerTenantLoopback, StormingTenantIsDemotedAndPromoted)
-{
-    server::ServerConfig sc = twoTenantConfig(2000.0);
-    // Demotions dump the flight recorder; keep the dumps out of the
-    // working directory.
-    sc.telemetry.flightDumpPrefix =
-        ::testing::TempDir() + "hp_storm_flight";
-    sc.fault.doorbellRateCap = 10;
-    sc.fault.stormTenant = 1;
-    sc.fault.stormRingsPerBatch = 32;
-    sc.fault.watchdogPeriodUs = 500.0;
-    sc.fault.promoteCleanSweeps = 4;
-    server::UdpServer srv(sc);
-    START_OR_SKIP(srv);
-
-    auto victimRep =
-        server::UdpLoadGen(tenantLoad(srv, 0, 2000.0, 0.3)).run();
-    auto aggrRep =
-        server::UdpLoadGen(tenantLoad(srv, 1, 8000.0, 0.3)).run();
-    ASSERT_TRUE(victimRep.has_value());
-    ASSERT_TRUE(aggrRep.has_value());
-
-    // Post-storm quiet time: enough clean sweeps to promote back.
-    std::this_thread::sleep_for(100ms);
-
-    const server::ServerCounterSnapshot c = srv.counterSnapshot();
-    EXPECT_GE(c.demotions, 1u);
-    EXPECT_GE(c.promotions, 1u);
-    EXPECT_GT(srv.device().mutedRings(), 0u);
-    EXPECT_GE(srv.counterSnapshot(1).demotions, 1u);
-    EXPECT_EQ(srv.counterSnapshot(0).demotions, 0u);
-
-    // The watchdog records each incident once, as a stamp on its own
-    // track: the aggressor's queues were demoted and promoted back,
-    // the victim's never.
-    bool aggrDemoted = false, aggrPromoted = false;
-    for (const auto &e : srv.flightRecorder()->snapshot()) {
-        if (e.track != trace::trackWatchdog ||
-            (e.stage != trace::Stage::Demotion &&
-             e.stage != trace::Stage::Promotion)) {
-            continue;
-        }
-        const unsigned owner = srv.tenantTable().tenantOfQueue(e.qid);
-        EXPECT_NE(owner, 0u) << "victim queue " << e.qid;
-        if (owner == 1) {
-            aggrDemoted |= e.stage == trace::Stage::Demotion;
-            aggrPromoted |= e.stage == trace::Stage::Promotion;
-        }
-    }
-    EXPECT_TRUE(aggrDemoted);
-    EXPECT_TRUE(aggrPromoted);
-
-    // Containment is not loss: both tenants' admitted traffic was
-    // answered.
-    EXPECT_GT(victimRep->answeredRatio, 0.99);
-    EXPECT_GT(aggrRep->answeredRatio, 0.99);
-    EXPECT_TRUE(srv.stop());
-
-    // The first demotion wrote a well-formed dump that holds it.
-    ASSERT_GE(srv.flightDumps(), 1u);
-    const std::string dumpPath = sc.telemetry.flightDumpPrefix + "_0.json";
-    std::string dump;
-    {
-        std::ifstream in(dumpPath);
-        EXPECT_TRUE(in) << dumpPath;
-        dump.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-    }
-    for (std::uint64_t n = 0; n < srv.flightDumps(); ++n) {
-        std::remove((sc.telemetry.flightDumpPrefix + "_" +
-                     std::to_string(n) + ".json")
-                        .c_str());
-    }
-    EXPECT_TRUE(hyperplane::testing::jsonWellFormed(dump));
-    EXPECT_NE(dump.find("\"demotion\""), std::string::npos);
-}
-
 TEST(ServerTenantLoopback, PerTenantStatsAreRegistered)
 {
     server::UdpServer srv(twoTenantConfig(1000.0));
@@ -750,9 +495,7 @@ TEST(ServerTenantLoopback, PerTenantStatsAreRegistered)
     EXPECT_TRUE(reg.has("server.tenant.victim.admitted"));
     EXPECT_TRUE(reg.has("server.tenant.victim.served"));
     EXPECT_TRUE(reg.has("server.tenant.aggressor.rate_limited"));
-    EXPECT_TRUE(reg.has("server.tenant.aggressor.demotions"));
     EXPECT_TRUE(reg.has("server.shed_rate_limited"));
-    EXPECT_TRUE(reg.has("server.dev.muted_rings"));
 
     auto report =
         server::UdpLoadGen(tenantLoad(srv, 1, 6000.0, 0.2)).run();
