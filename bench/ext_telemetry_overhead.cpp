@@ -10,10 +10,9 @@
  * tentpole's acceptance bar: the default telemetry configuration may
  * cost at most 5% of peak requests/sec, and the telemetry-enabled run
  * must still answer >= 99.9% of requests.  While the loaded run is in
- * flight the bench scrapes the metrics endpoint over its UDP one-shot
- * op and validates that the Prometheus page and the JSON registry
- * export are well formed — the endpoint must serve under load, not
- * just at idle.
+ * flight the bench renders the endpoint's pages (metricsPage()) and
+ * validates that the Prometheus page and the JSON registry export are
+ * well formed — the pages must render under load, not just at idle.
  *
  * Measurement design: the run is split into *rounds*; each round
  * constructs a fresh pair of servers (telemetry on and off), keeps

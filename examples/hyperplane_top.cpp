@@ -4,10 +4,7 @@
  * and prints the key rates and stage tails as a refreshing one-liner
  * table.
  *
- * Scrapes over the endpoint's UDP one-shot op by default (works in
- * socket-restricted sandboxes that still allow loopback datagrams and
- * needs no HTTP client); pass --http to use a plain HTTP/1.0 GET
- * instead.
+ * Scrapes /metrics with a plain HTTP/1.0 GET.
  *
  *   ./udp_server --port 9000 --metrics-port 9100 &
  *   ./hyperplane_top --port 9100            # refresh every second
@@ -17,8 +14,8 @@
  *   --host A       endpoint address (default 127.0.0.1)
  *   --port P       endpoint port (required)
  *   --interval S   refresh period, seconds (default 1.0)
- *   --once         scrape once, print, exit (exit 1 if unreachable)
- *   --http         scrape over TCP/HTTP instead of the UDP op
+ *   --once         scrape once, print totals, exit (exit 1 if
+ *                  unreachable)
  *   --raw          dump the raw Prometheus page instead of the table
  */
 
@@ -37,44 +34,6 @@
 #include "harness/export.hh"
 
 namespace {
-
-std::string
-udpScrape(const std::string &host, std::uint16_t port,
-          const std::string &path)
-{
-    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (fd < 0)
-        return {};
-    timeval tv{2, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        return {};
-    }
-    if (::sendto(fd, path.data(), path.size(), 0,
-                 reinterpret_cast<sockaddr *>(&addr),
-                 sizeof(addr)) < 0) {
-        ::close(fd);
-        return {};
-    }
-    std::string body;
-    char buf[2048];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n < 0) {
-            ::close(fd);
-            return {}; // timeout: endpoint unreachable
-        }
-        if (n == 0)
-            break; // empty datagram terminates the response
-        body.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return body;
-}
 
 std::string
 httpScrape(const std::string &host, std::uint16_t port,
@@ -142,6 +101,24 @@ get(const std::map<std::string, double> &m, const char *k)
     return it == m.end() ? 0.0 : it->second;
 }
 
+/**
+ * One table row: served and tx are per-second rates on a refresh and
+ * totals under --once; shed sums every reject flavour.
+ */
+void
+printRow(const std::map<std::string, double> &m, double served, double tx)
+{
+    std::printf("%10.0f %10.0f %8.0f %8.1fu %8.1fu %8.1fu %7.0f\n", served,
+                tx, get(m, "hyperplane_server_backlog"),
+                get(m, "hyperplane_server_stage_e2e_p50_ns") / 1e3,
+                get(m, "hyperplane_server_stage_e2e_p99_ns") / 1e3,
+                get(m, "hyperplane_server_stage_e2e_p999_ns") / 1e3,
+                get(m, "hyperplane_server_shed_watermark") +
+                    get(m, "hyperplane_server_shed_rate_limited") +
+                    get(m, "hyperplane_server_shed_queue_full"));
+    std::fflush(stdout);
+}
+
 /** Kernel variant name from the numeric level metric (0/1/2). */
 const char *
 variantName(double level, bool crc)
@@ -166,7 +143,7 @@ main(int argc, char **argv)
     const char *portArg = harness::argValue(argc, argv, "--port");
     if (portArg == nullptr) {
         std::fputs("usage: hyperplane_top --port P [--host A] "
-                   "[--interval S] [--once] [--http] [--raw]\n",
+                   "[--interval S] [--once] [--raw]\n",
                    stderr);
         return 2;
     }
@@ -175,18 +152,12 @@ main(int argc, char **argv)
     if (const char *v = harness::argValue(argc, argv, "--interval"))
         interval = std::atof(v);
     const bool once = harness::argPresent(argc, argv, "--once");
-    const bool http = harness::argPresent(argc, argv, "--http");
     const bool raw = harness::argPresent(argc, argv, "--raw");
-
-    const auto scrape = [&] {
-        return http ? httpScrape(host, port, "/metrics")
-                    : udpScrape(host, port, "/metrics");
-    };
 
     double prevServed = 0.0, prevTx = 0.0;
     bool first = true;
     for (;;) {
-        const std::string page = scrape();
+        const std::string page = httpScrape(host, port, "/metrics");
         if (page.empty()) {
             std::fprintf(stderr,
                          "hyperplane_top: no response from %s:%u\n",
@@ -234,33 +205,12 @@ main(int argc, char **argv)
                         "e2e p99", "e2e p999", "shed");
             first = false;
         } else {
-            std::printf(
-                "%10.0f %10.0f %8.0f %8.1fu %8.1fu %8.1fu %7.0f\n",
-                (served - prevServed) / interval,
-                (tx - prevTx) / interval,
-                get(m, "hyperplane_server_backlog"),
-                get(m, "hyperplane_server_stage_e2e_p50_ns") / 1e3,
-                get(m, "hyperplane_server_stage_e2e_p99_ns") / 1e3,
-                get(m, "hyperplane_server_stage_e2e_p999_ns") / 1e3,
-                get(m, "hyperplane_server_shed_watermark") +
-                    get(m, "hyperplane_server_shed_rate_limited") +
-                    get(m, "hyperplane_server_shed_queue_full"));
-            std::fflush(stdout);
+            printRow(m, (served - prevServed) / interval,
+                     (tx - prevTx) / interval);
         }
         if (once) {
             // --once prints totals, not rates (there is no delta yet).
-            std::printf("%10.0f %10.0f %8.0f %8.1fu %8.1fu %8.1fu "
-                        "%7.0f\n",
-                        served, tx,
-                        get(m, "hyperplane_server_backlog"),
-                        get(m, "hyperplane_server_stage_e2e_p50_ns") /
-                            1e3,
-                        get(m, "hyperplane_server_stage_e2e_p99_ns") /
-                            1e3,
-                        get(m,
-                            "hyperplane_server_stage_e2e_p999_ns") /
-                            1e3,
-                        get(m, "hyperplane_server_shed_watermark"));
+            printRow(m, served, tx);
             return 0;
         }
         prevServed = served;

@@ -22,7 +22,7 @@
  *   --queues N        task queues                      (default 16)
  *   --stats-sec S     print received, served, sent and queue drops
  *                     every S seconds
- *   --metrics-port P  HTTP+UDP metrics endpoint (0 = ephemeral;
+ *   --metrics-port P  HTTP metrics endpoint (0 = ephemeral;
  *                     omitted = no endpoint)
  *   --metrics-ip A    metrics bind address (default 127.0.0.1)
  *   --sample-every N  per-request sampling period for flight stamps

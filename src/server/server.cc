@@ -45,6 +45,13 @@ using telemetry::CounterShards;
 constexpr std::size_t kQueueCapacity = 8192;
 
 /**
+ * Shared reserve of small frames for typed rejects when an RX shard's
+ * pool is dry, so exhaustion stays an answered condition instead of a
+ * silent drop.
+ */
+constexpr std::uint32_t kRejectReserveFrames = 512;
+
+/**
  * One row of the declared counter table: a counter's exported names,
  * which give its scope, and the snapshot field it fills.
  */
@@ -99,6 +106,22 @@ static_assert(tableCoversEveryCounter(),
 static_assert(TenantTable::invalidTenant == CounterShards::noTenant,
               "a queue no tenant owns counts in the no-tenant column");
 
+/**
+ * Register <sp>.p50_ns, .p99_ns and .p999_ns: quantiles of the
+ * histogram @p hist returns, read at scrape time.
+ */
+template <typename Hist>
+void
+addQuantiles(stats::Registry &reg, const std::string &sp, Hist hist)
+{
+    constexpr std::pair<const char *, double> quantiles[] = {
+        {"p50_ns", 0.50}, {"p99_ns", 0.99}, {"p999_ns", 0.999}};
+    for (const auto &[name, q] : quantiles) {
+        reg.addScalar(sp + "." + name,
+                      [hist, q = q] { return hist().quantile(q); });
+    }
+}
+
 } // namespace
 
 UdpServer::UdpServer(const ServerConfig &cfg)
@@ -142,7 +165,69 @@ UdpServer::start()
     tenants_ = std::make_unique<TenantTable>(
         cfg_.tenants, cfg_.numQueues, cfg_.shedLowWatermark,
         cfg_.shedHighWatermark);
+    if (!openSockets()) {
+        rxSockets_.clear();
+        workerSockets_.clear();
+        return false;
+    }
+    epoch_ = steady_clock::now();
+    buildDataPlane();
 
+    // Telemetry plane: the counter matrix always exists; the stage
+    // histograms and flight recorder honour the enable switch.
+    counters_ = std::make_unique<CounterShards>(numTelemetryShards(),
+                                                tenants_->numTenants());
+    const telemetry::TelemetryConfig &tcfg = cfg_.telemetry;
+    if (tcfg.enabled) {
+        stageLat_ = std::make_unique<telemetry::StageLatencyShards>(
+            numTelemetryShards(), tenants_->numTenants());
+    } else {
+        stageLat_.reset();
+    }
+    // One sampling period for flight stamps and stage-histogram
+    // samples; the recorder rounds it down to a power of two, so the
+    // hot-path test is one AND.  Disabled telemetry samples nothing.
+    flight_ = std::make_unique<trace::FlightRecorder>(
+        numTelemetryShards(), tcfg.recorderCapacity,
+        tcfg.enabled ? std::max<std::uint64_t>(1, tcfg.stageSampleEvery)
+                     : 0);
+
+    running_.store(true);
+
+    pool_ = std::make_unique<emu::DataPlanePool>(
+        *hpDev_, cfg_.workers,
+        [this](QueueId qid, std::uint64_t n) {
+            Lane &lane = lanes_[workerShard(static_cast<unsigned>(
+                emu::DataPlanePool::workerIndex()))];
+            serveGrant(lane, qid, n);
+        },
+        cfg_.maxBatch);
+    pool_->start();
+
+    for (unsigned i = 0; i < cfg_.rxThreads; ++i)
+        rxThreads_.emplace_back([this, i] { rxLoop(i); });
+
+    selfReg_ = std::make_unique<stats::Registry>();
+    registerStats(*selfReg_);
+    if (tcfg.metricsPort >= 0) {
+        metrics_ = std::make_unique<telemetry::MetricsServer>();
+        if (!metrics_->start(
+                tcfg.metricsIp,
+                static_cast<std::uint16_t>(tcfg.metricsPort),
+                [this](const std::string &path, std::string &ct) {
+                    return metricsPage(path, ct);
+                })) {
+            hp_warn("UdpServer: metrics endpoint unavailable, "
+                    "continuing without it");
+            metrics_.reset();
+        }
+    }
+    return true;
+}
+
+bool
+UdpServer::openSockets()
+{
     // RX sockets: one SO_REUSEPORT shard per RX thread.  The first bind
     // picks the (possibly ephemeral) port; the rest join its group.
     const bool sharded = cfg_.rxThreads > 1;
@@ -154,21 +239,16 @@ UdpServer::start()
     rxSockets_.push_back(std::move(*first));
     for (unsigned i = 1; i < cfg_.rxThreads; ++i) {
         auto s = UdpSocket::bind(cfg_.bindIp, port_, true);
-        if (!s) {
-            rxSockets_.clear();
+        if (!s)
             return false;
-        }
         rxSockets_.push_back(std::move(*s));
     }
     // Worker reply sockets stay out of the REUSEPORT group (they must
     // not steal inbound datagrams); replies carry an ephemeral source.
     for (unsigned w = 0; w < cfg_.workers; ++w) {
         auto s = UdpSocket::open();
-        if (!s) {
-            rxSockets_.clear();
-            workerSockets_.clear();
+        if (!s)
             return false;
-        }
         workerSockets_.push_back(std::move(*s));
     }
     // One epoll set per RX shard.  Its eventfd lets stop() wake a
@@ -176,15 +256,15 @@ UdpServer::start()
     rxWaiters_.clear();
     for (UdpSocket &sock : rxSockets_) {
         auto &w = rxWaiters_.emplace_back(std::make_unique<EpollWaiter>());
-        if (!w->valid() || !w->add(sock.fd())) {
-            rxSockets_.clear();
-            workerSockets_.clear();
+        if (!w->valid() || !w->add(sock.fd()))
             return false;
-        }
     }
+    return true;
+}
 
-    epoch_ = steady_clock::now();
-
+void
+UdpServer::buildDataPlane()
+{
     // Zero-copy frame pools: drain the old queues and lanes first on a
     // restart — they hold frame handles into the pools being replaced.
     reqQueues_.clear();
@@ -199,12 +279,10 @@ UdpServer::start()
             frameBytes));
     }
     // Rejects are payload-free 36-byte responses: small frames suffice.
-    rejectPool_ = std::make_unique<FramePool>(
-        std::max<std::uint32_t>(cfg_.rejectReserveFrames, 1), 64);
+    rejectPool_ = std::make_unique<FramePool>(kRejectReserveFrames, 64);
 
     hpDev_ =
         std::make_unique<emu::EmuHyperPlane>(cfg_.numQueues, cfg_.policy);
-    reqQueues_.clear();
     serving_ = std::make_unique<std::mutex[]>(cfg_.numQueues);
     for (unsigned q = 0; q < cfg_.numQueues; ++q) {
         const auto qid = hpDev_->addQueue();
@@ -241,64 +319,11 @@ UdpServer::start()
     // by queue id so a flow's state is owned by the queue its crc32c
     // hash steers it to.
     apps_.clear();
-    {
-        app::AppConfig acfg = cfg_.app;
-        acfg.numShards = cfg_.numQueues;
-        for (unsigned k = 0; k < app::numAppKinds; ++k)
-            apps_.push_back(app::makeHandler(
-                static_cast<app::AppKind>(k), acfg));
-    }
-
-    // Telemetry plane: the counter matrix always exists; the stage
-    // histograms and flight recorder honour the enable switch.
-    counters_ = std::make_unique<CounterShards>(numTelemetryShards(),
-                                                tenants_->numTenants());
-    const telemetry::TelemetryConfig &tcfg = cfg_.telemetry;
-    if (tcfg.enabled) {
-        stageLat_ = std::make_unique<telemetry::StageLatencyShards>(
-            numTelemetryShards(), tenants_->numTenants());
-    } else {
-        stageLat_.reset();
-    }
-    // One sampling period for flight stamps and stage-histogram
-    // samples; the recorder rounds it down to a power of two, so the
-    // hot-path test is one AND.  Disabled telemetry samples nothing.
-    flight_ = std::make_unique<trace::FlightRecorder>(
-        numTelemetryShards(), tcfg.recorderCapacity,
-        tcfg.enabled ? std::max<std::uint64_t>(1, tcfg.stageSampleEvery)
-                     : 0);
-
-    running_.store(true);
-
-    pool_ = std::make_unique<emu::DataPlanePool>(
-        *hpDev_, cfg_.workers,
-        [this](QueueId qid, std::uint64_t n) {
-            Lane &lane = lanes_[workerShard(static_cast<unsigned>(
-                emu::DataPlanePool::workerIndex()))];
-            serveGrant(lane, qid, n);
-        },
-        cfg_.maxBatch);
-    pool_->start();
-
-    for (unsigned i = 0; i < cfg_.rxThreads; ++i)
-        rxThreads_.emplace_back([this, i] { rxLoop(i); });
-
-    if (tcfg.metricsPort >= 0) {
-        selfReg_ = std::make_unique<stats::Registry>();
-        registerStats(*selfReg_);
-        metrics_ = std::make_unique<telemetry::MetricsServer>();
-        if (!metrics_->start(
-                tcfg.metricsIp,
-                static_cast<std::uint16_t>(tcfg.metricsPort),
-                [this](const std::string &path, std::string &ct) {
-                    return metricsPage(path, ct);
-                })) {
-            hp_warn("UdpServer: metrics endpoint unavailable, "
-                    "continuing without it");
-            metrics_.reset();
-        }
-    }
-    return true;
+    app::AppConfig acfg = cfg_.app;
+    acfg.numShards = cfg_.numQueues;
+    for (unsigned k = 0; k < app::numAppKinds; ++k)
+        apps_.push_back(
+            app::makeHandler(static_cast<app::AppKind>(k), acfg));
 }
 
 bool
@@ -376,287 +401,290 @@ UdpServer::backlog() const
     return total;
 }
 
-void
-UdpServer::rxLoop(unsigned index)
+/**
+ * What one RX thread owns across batches: its socket, frame pool and
+ * lane, the receive window and the per-batch bookkeeping of the four
+ * RX stages.
+ */
+struct UdpServer::RxShard
 {
-    UdpSocket &sock = rxSockets_[index];
-    EpollWaiter &waiter = *rxWaiters_[index];
+    /** Pool-dry scratch datagrams: small, fixed, always there. */
+    static constexpr unsigned maxScratch = 8;
 
-    FramePool &pool = *rxPools_[index];
+    RxShard(UdpServer &srv, unsigned index)
+        : sock(srv.rxSockets_[index]), pool(*srv.rxPools_[index]),
+          lane(srv.lanes_[srv.rxShard(index)]),
+          slots(std::max<std::size_t>(srv.cfg_.rxBatch, maxScratch)),
+          pkts(slots.size()), lens(slots.size()),
+          prefixOk(slots.size()), counts(srv.cfg_.numQueues, 0),
+          admitLast(srv.cfg_.numQueues, 0),
+          scratchSlots(std::min(maxScratch, srv.cfg_.rxBatch))
+    {
+        spare.reserve(srv.cfg_.rxBatch);
+    }
+
+    UdpSocket &sock;
+    FramePool &pool;
+    /** This thread's lane: it is the single writer of lane.shard. */
+    Lane &lane;
     // Reusable acquired frames: recvmmsg scatters into spare[0..k),
     // consumed ones leave with their Request (or reject), unconsumed
     // and parse-failed ones stay for the next call.
     std::vector<FrameHandle> spare;
-    spare.reserve(cfg_.rxBatch);
-    // Stack scratch for the pool-dry path: small, fixed, always there.
-    constexpr unsigned maxScratch = 8;
-    const unsigned scratchSlots =
-        std::min(maxScratch, std::max(cfg_.rxBatch, 1u));
-    std::uint8_t scratchBufs[maxScratch][wire::maxDatagramBytes];
-    const std::size_t slotCount =
-        std::max<std::size_t>(cfg_.rxBatch, maxScratch);
-    std::vector<RxSlot> slots(slotCount);
-    std::vector<const std::uint8_t *> pkts(slotCount);
-    std::vector<std::uint32_t> lens(slotCount);
-    std::vector<std::uint8_t> prefixOk(slotCount);
-    std::vector<std::uint32_t> counts(cfg_.numQueues, 0);
+    std::vector<RxSlot> slots;
+    std::vector<const std::uint8_t *> pkts;
+    std::vector<std::uint32_t> lens;
+    std::vector<std::uint8_t> prefixOk;
+    /** Items pushed per queue this batch, and the queues touched. */
+    std::vector<std::uint32_t> counts;
     std::vector<QueueId> touched;
-    const bool shedEnabled = cfg_.shedHighWatermark > 0;
-
-    // Telemetry: this thread is the single writer of shard `shard`,
-    // and the only user of its lane.
-    const unsigned shard = rxShard(index);
-    Lane &lane = lanes_[shard];
-    CounterShards &counters = *counters_;
-    telemetry::StageLatencyShards *lat = stageLat_.get();
-    trace::FlightRecorder &flight = *flight_;
     // Last admission timestamp per queue this batch, for the
     // admit->doorbell stage sample taken at ring time.  (For requests
     // skipped by stage decimation this is the batch rx timestamp —
     // admission itself is sub-microsecond, so the ring-wait sample
     // stays honest.)
-    std::vector<std::uint64_t> admitLast(cfg_.numQueues, 0);
+    std::vector<std::uint64_t> admitLast;
+    std::uint8_t scratchBufs[maxScratch][wire::maxDatagramBytes];
+    unsigned scratchSlots;
+    /** The batch landed in scratch: the pool was dry. */
+    bool scratch = false;
+    /** The batch's receive time. */
+    std::uint64_t rxNs = 0;
+};
 
+void
+UdpServer::rxLoop(unsigned index)
+{
+    RxShard rx(*this, index);
+    EpollWaiter &waiter = *rxWaiters_[index];
     while (running_.load(std::memory_order_relaxed)) {
         waiter.wait(-1);
-        for (;;) {
-            // Top up the receive window with pool frames; recvmmsg
-            // scatters straight into them at rxFrameOffset so the
-            // payload is already where the response wants it.
-            while (spare.size() < cfg_.rxBatch) {
-                FrameHandle h = pool.tryAcquire();
-                if (!h) {
-                    counters.add(shard, CounterShards::noTenant,
-                                 Counter::PoolExhausted);
-                    break;
-                }
-                spare.push_back(std::move(h));
-            }
-            const bool scratch = spare.empty();
-            std::size_t n;
-            if (scratch) {
-                // Pool dry: drain into stack scratch so exhaustion
-                // stays an answered, typed condition (rejects from the
-                // reserve pool) instead of an epoll livelock.
-                for (unsigned i = 0; i < scratchSlots; ++i) {
-                    slots[i].data = scratchBufs[i];
-                    slots[i].cap = wire::maxDatagramBytes;
-                }
-                n = sock.recvBatch(slots.data(), scratchSlots);
-            } else {
-                for (std::size_t i = 0; i < spare.size(); ++i) {
-                    slots[i].data = spare[i].data() + rxFrameOffset;
-                    slots[i].cap = wire::maxDatagramBytes;
-                }
-                n = sock.recvBatch(
-                    slots.data(), static_cast<unsigned>(spare.size()));
-            }
-            if (n == 0)
-                break;
-            counters.add(shard, CounterShards::noTenant,
-                         Counter::RxBatches);
-            counters.add(shard, CounterShards::noTenant,
-                         Counter::RxPackets, n);
-            const std::uint64_t rxNs = nowNs();
-            // One backlog sample per batch is plenty for watermark
-            // shedding: the thresholds are hundreds of requests wide.
-            const std::size_t backlogNow = shedEnabled ? backlog() : 0;
-
-            // Batched magic/version/opcode validation through the
-            // dispatched (SIMD on capable hosts) header-check kernel;
-            // the per-packet parse below skips what this verified.
-            for (std::size_t i = 0; i < n; ++i) {
-                pkts[i] = slots[i].data;
-                lens[i] = slots[i].len;
-            }
-            wire::precheckRequests(pkts.data(), lens.data(), n,
-                                   prefixOk.data());
-
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto hdr =
-                    prefixOk[i] ? wire::parseRequestPrechecked(
-                                      slots[i].data, slots[i].len)
-                                : std::nullopt;
-                if (!hdr) {
-                    counters.add(shard, CounterShards::noTenant,
-                                 Counter::ParseErrors);
-                    continue; // frame stays in spare for reuse
-                }
-                const sockaddr_in &peer = slots[i].peer;
-                const unsigned tenant = tenants_->tenantOf(hdr->flowId);
-
-                FlowKey key;
-                key.srcIp = ntohl(peer.sin_addr.s_addr);
-                key.dstIp = boundIp_;
-                key.srcPort = ntohs(peer.sin_port);
-                key.dstPort = port_;
-                key.innerFlow = hdr->flowId;
-                const QueueId qid = tenants_->steer(key, tenant);
-
-                // Pool-dry arrivals cannot carry a frame to a worker:
-                // shed them typed, like a full queue (the next-deepest
-                // overload signal).
-                if (scratch) {
-                    shed(lane, Counter::ShedQueueFull, wire::statusShed,
-                         peer, *hdr, tenant, qid, rxNs, FrameHandle());
-                    continue;
-                }
-
-                // Admission control at RX steering: token bucket first,
-                // then the priority-ranked backlog watermark.  Rejects
-                // fail fast — a typed response now, no worker time.
-                wire::Status verdict = wire::statusOk;
-                Counter why = Counter::ShedRateLimited;
-                if (!tenants_->admit(tenant, rxNs)) {
-                    verdict = wire::statusRateLimited;
-                } else if (shedEnabled &&
-                           tenants_->shouldShed(tenant, backlogNow)) {
-                    verdict = wire::statusShed;
-                    why = Counter::ShedWatermark;
-                }
-                // Sampling is decimated on the sequence number, so the
-                // extra clock read, the histogram insert and the flight
-                // stamp are paid for 1-in-stageSampleEvery requests;
-                // the rest reuse the batch rx timestamp.  (A sampled
-                // request implies telemetry on, so lat is live.)
-                const bool sampled = flight.sampled(hdr->seq);
-                const std::uint64_t admitNs = sampled ? nowNs() : rxNs;
-                if (sampled) {
-                    lat->record(
-                        shard, telemetry::ServerStage::RxAdmit, tenant,
-                        static_cast<double>(admitNs - rxNs));
-                }
-                if (verdict != wire::statusOk) {
-                    // The reject reuses the request's own frame.
-                    shed(lane, why, verdict, peer, *hdr, tenant, qid,
-                         admitNs, std::move(spare[i]));
-                    continue;
-                }
-
-                Request req;
-                req.peer = peer;
-                req.hdr = *hdr;
-                req.frame = std::move(spare[i]);
-                req.rxNs = rxNs;
-                req.admitNs = admitNs;
-                req.tenant = tenant;
-                admitLast[qid] = admitNs;
-                if (!reqQueues_[qid]->tryPush(std::move(req))) {
-                    // Queue full: the deepest overload signal.  Still a
-                    // typed reject, not a silent drop.
-                    counters.add(shard, tenant, Counter::QueueDrops);
-                    // tryPush leaves its argument intact on failure, so
-                    // the reject can still ride the request's frame.
-                    shed(lane, Counter::ShedQueueFull, wire::statusShed,
-                         peer, *hdr, tenant, qid, admitNs,
-                         std::move(req.frame));
-                    continue;
-                }
-                counters.add(shard, tenant, Counter::Admitted);
-                if (counts[qid]++ == 0)
-                    touched.push_back(qid);
-                if (sampled) {
-                    flight.stamp(
-                        shard, trace::Stage::DoorbellWrite,
-                        trace::Phase::Instant, lane.track,
-                        nsToTicks(static_cast<double>(admitNs)), qid,
-                        hdr->seq);
-                }
-            }
-
-            // Compact: moved-from handles leave holes in the receive
-            // window; keep only the still-owned frames for reuse.
-            if (!scratch) {
-                spare.erase(std::remove_if(spare.begin(), spare.end(),
-                                           [](const FrameHandle &h) {
-                                               return !h;
-                                           }),
-                            spare.end());
-            }
-
-            // One doorbell ring per (batch, queue), waking nobody yet:
-            // this thread serves a grant itself below.
-            const bool rang = !touched.empty();
-            const std::uint64_t ringNs = lat && rang ? nowNs() : 0;
-            for (QueueId qid : touched) {
-                if (lat) {
-                    // One admit->doorbell sample per (batch, queue):
-                    // the last admitted request's wait for its ring.
-                    const unsigned owner = tenants_->tenantOfQueue(qid);
-                    lat->record(
-                        shard, telemetry::ServerStage::AdmitDoorbell,
-                        owner != TenantTable::invalidTenant ? owner : 0,
-                        static_cast<double>(ringNs - admitLast[qid]));
-                }
-                hpDev_->ring(qid, std::exchange(counts[qid], 0),
-                             emu::EmuHyperPlane::Wake::Deferred);
-            }
-            touched.clear();
-
-            // Run to completion: serve one grant on this thread.  The
-            // ready set picks the queue, so the service policy holds.
-            // Its replies leave with the batch's typed rejects in one
-            // sendmmsg; a worker wakes only for what is left over.
-            if (rang) {
-                if (const auto qid = hpDev_->qwaitNonBlocking()) {
-                    const std::uint64_t n =
-                        hpDev_->take(*qid, cfg_.maxBatch);
-                    if (n > 0)
-                        serveGrant(lane, *qid, n);
-                }
-            }
-            sendReplies(lane);
-            if (rang)
-                hpDev_->wakeOneIfGrantable();
+        while (const std::size_t n = receiveBatch(rx)) {
+            admitBatch(rx, n);
+            serveInline(rx.lane, ringTouched(rx));
         }
     }
 }
 
-void
-UdpServer::shed(Lane &lane, Counter why, wire::Status status,
-                const sockaddr_in &peer, const wire::RequestHeader &hdr,
-                unsigned tenant, QueueId qid, std::uint64_t ns,
-                FrameHandle &&frame)
+std::size_t
+UdpServer::receiveBatch(RxShard &rx)
 {
-    counters_->add(lane.shard, tenant, why);
-    if (flight_->sampled(hdr.seq)) {
+    const unsigned shard = rx.lane.shard;
+    // Top up the receive window with pool frames; recvmmsg scatters
+    // straight into them at rxFrameOffset so the payload is already
+    // where the response wants it.
+    while (rx.spare.size() < cfg_.rxBatch) {
+        FrameHandle h = rx.pool.tryAcquire();
+        if (!h) {
+            counters_->add(shard, CounterShards::noTenant,
+                           Counter::PoolExhausted);
+            break;
+        }
+        rx.spare.push_back(std::move(h));
+    }
+    // Pool dry: drain into stack scratch so exhaustion stays an
+    // answered, typed condition (rejects from the reserve pool)
+    // instead of an epoll livelock.
+    rx.scratch = rx.spare.empty();
+    const unsigned k = rx.scratch
+        ? rx.scratchSlots
+        : static_cast<unsigned>(rx.spare.size());
+    for (unsigned i = 0; i < k; ++i) {
+        rx.slots[i].data = rx.scratch ? rx.scratchBufs[i]
+                                      : rx.spare[i].data() + rxFrameOffset;
+        rx.slots[i].cap = wire::maxDatagramBytes;
+    }
+    const std::size_t n = rx.sock.recvBatch(rx.slots.data(), k);
+    if (n == 0)
+        return 0;
+    counters_->add(shard, CounterShards::noTenant, Counter::RxBatches);
+    counters_->add(shard, CounterShards::noTenant, Counter::RxPackets, n);
+    rx.rxNs = nowNs();
+    return n;
+}
+
+void
+UdpServer::admitBatch(RxShard &rx, std::size_t n)
+{
+    // One backlog sample per batch is plenty for watermark shedding:
+    // the thresholds are hundreds of requests wide.
+    const std::size_t backlogNow =
+        cfg_.shedHighWatermark > 0 ? backlog() : 0;
+
+    // Batched magic/version/opcode validation through the dispatched
+    // (SIMD on capable hosts) header-check kernel; the per-packet parse
+    // skips what this verified.
+    for (std::size_t i = 0; i < n; ++i) {
+        rx.pkts[i] = rx.slots[i].data;
+        rx.lens[i] = rx.slots[i].len;
+    }
+    wire::precheckRequests(rx.pkts.data(), rx.lens.data(), n,
+                           rx.prefixOk.data());
+    for (std::size_t i = 0; i < n; ++i)
+        admitOne(rx, i, backlogNow);
+
+    // Compact: moved-from handles leave holes in the receive window;
+    // keep only the still-owned frames for reuse.
+    if (!rx.scratch) {
+        rx.spare.erase(std::remove_if(rx.spare.begin(), rx.spare.end(),
+                                      [](const FrameHandle &h) {
+                                          return !h;
+                                      }),
+                       rx.spare.end());
+    }
+}
+
+void
+UdpServer::admitOne(RxShard &rx, std::size_t i, std::size_t backlogNow)
+{
+    const unsigned shard = rx.lane.shard;
+    const RxSlot &slot = rx.slots[i];
+    const auto hdr = rx.prefixOk[i]
+        ? wire::parseRequestPrechecked(slot.data, slot.len)
+        : std::nullopt;
+    if (!hdr) {
+        counters_->add(shard, CounterShards::noTenant,
+                       Counter::ParseErrors);
+        return; // frame stays in spare for reuse
+    }
+    Request req;
+    req.peer = slot.peer;
+    req.hdr = *hdr;
+    req.rxNs = req.admitNs = rx.rxNs;
+    const unsigned tenant = req.tenant = tenants_->tenantOf(hdr->flowId);
+    // The one sampling decision.  It is decimated on the sequence
+    // number, so the extra clock reads, histogram samples and flight
+    // stamps are paid for 1-in-stageSampleEvery requests at every
+    // stage; the bit rides on the Request and its Response.  (A sampled
+    // request implies telemetry on, so stageLat_ is live.)
+    const bool sampled = req.sampled = flight_->sampled(hdr->seq);
+
+    const FlowKey key{ntohl(slot.peer.sin_addr.s_addr), boundIp_,
+                      ntohs(slot.peer.sin_port), port_, hdr->flowId};
+    const QueueId qid = tenants_->steer(key, tenant);
+
+    // Pool-dry arrivals cannot carry a frame to a worker: shed them
+    // typed, like a full queue (the next-deepest overload signal).
+    if (rx.scratch) {
+        shed(rx.lane, Counter::ShedQueueFull, wire::statusShed, qid, req);
+        return;
+    }
+
+    // Admission control at RX steering: token bucket first, then the
+    // priority-ranked backlog watermark.  Rejects fail fast — a typed
+    // response now, no worker time.
+    wire::Status verdict = wire::statusOk;
+    Counter why = Counter::ShedRateLimited;
+    if (!tenants_->admit(tenant, rx.rxNs)) {
+        verdict = wire::statusRateLimited;
+    } else if (cfg_.shedHighWatermark > 0 &&
+               tenants_->shouldShed(tenant, backlogNow)) {
+        verdict = wire::statusShed;
+        why = Counter::ShedWatermark;
+    }
+    if (sampled) {
+        req.admitNs = nowNs();
+        stageLat_->record(shard, telemetry::ServerStage::RxAdmit, tenant,
+                          static_cast<double>(req.admitNs - rx.rxNs));
+    }
+    // The request, or its reject, leaves in the request's own frame.
+    req.frame = std::move(rx.spare[i]);
+    if (verdict != wire::statusOk) {
+        shed(rx.lane, why, verdict, qid, req);
+        return;
+    }
+    const std::uint64_t admitNs = rx.admitLast[qid] = req.admitNs;
+    if (!reqQueues_[qid]->tryPush(std::move(req))) {
+        // Queue full: the deepest overload signal.  Still a typed
+        // reject, not a silent drop: tryPush leaves its argument
+        // intact on failure, so the reject rides the request's frame.
+        counters_->add(shard, tenant, Counter::QueueDrops);
+        shed(rx.lane, Counter::ShedQueueFull, wire::statusShed, qid, req);
+        return;
+    }
+    counters_->add(shard, tenant, Counter::Admitted);
+    if (rx.counts[qid]++ == 0)
+        rx.touched.push_back(qid);
+    if (sampled) {
+        flight_->stamp(shard, trace::Stage::DoorbellWrite,
+                       trace::Phase::Instant, rx.lane.track,
+                       nsToTicks(static_cast<double>(admitNs)), qid,
+                       hdr->seq);
+    }
+}
+
+bool
+UdpServer::ringTouched(RxShard &rx)
+{
+    if (rx.touched.empty())
+        return false;
+    // One doorbell ring per (batch, queue), waking nobody yet: this
+    // thread serves a grant itself next.
+    telemetry::StageLatencyShards *lat = stageLat_.get();
+    const std::uint64_t ringNs = lat ? nowNs() : 0;
+    for (QueueId qid : rx.touched) {
+        if (lat) {
+            // One admit->doorbell sample per (batch, queue): the last
+            // admitted request's wait for its ring.
+            const unsigned owner = tenants_->tenantOfQueue(qid);
+            lat->record(rx.lane.shard,
+                        telemetry::ServerStage::AdmitDoorbell,
+                        owner != TenantTable::invalidTenant ? owner : 0,
+                        static_cast<double>(ringNs - rx.admitLast[qid]));
+        }
+        hpDev_->ring(qid, std::exchange(rx.counts[qid], 0),
+                     emu::EmuHyperPlane::Wake::Deferred);
+    }
+    rx.touched.clear();
+    return true;
+}
+
+void
+UdpServer::serveInline(Lane &lane, bool rang)
+{
+    // Run to completion: serve one grant on this thread.  The ready set
+    // picks the queue, so the service policy holds.  Its replies leave
+    // with the batch's typed rejects in one sendmmsg; a worker wakes
+    // only for what is left over.
+    if (rang) {
+        if (const auto qid = hpDev_->qwaitNonBlocking()) {
+            const std::uint64_t n = hpDev_->take(*qid, cfg_.maxBatch);
+            if (n > 0)
+                serveGrant(lane, *qid, n);
+        }
+    }
+    sendReplies(lane);
+    if (rang)
+        hpDev_->wakeOneIfGrantable();
+}
+
+void
+UdpServer::shed(Lane &lane, Counter why, wire::Status status, QueueId qid,
+                Request &req)
+{
+    counters_->add(lane.shard, req.tenant, why);
+    if (req.sampled) {
         flight_->stamp(lane.shard, trace::Stage::AdmissionShed,
                        trace::Phase::Instant, lane.track,
-                       nsToTicks(static_cast<double>(ns)), qid, hdr.seq);
+                       nsToTicks(static_cast<double>(req.admitNs)), qid,
+                       req.hdr.seq);
     }
 
     // A reject normally rides the request's own frame; a null handle
     // (pool-dry scratch path) draws one from the small reserve pool so
     // exhaustion still answers typed.
-    if (!frame && rejectPool_) {
-        frame = rejectPool_->tryAcquire();
-        if (!frame)
-            counters_->add(lane.shard, tenant, Counter::PoolExhausted);
+    if (!req.frame) {
+        req.frame = rejectPool_->tryAcquire();
+        if (!req.frame)
+            counters_->add(lane.shard, req.tenant, Counter::PoolExhausted);
     }
-    if (!frame) {
+    if (!req.frame) {
         // Reserve dry too: the only truly unanswerable case.
-        counters_->add(lane.shard, tenant, Counter::PoolDrops);
+        counters_->add(lane.shard, req.tenant, Counter::PoolDrops);
         return;
     }
-
-    wire::ResponseHeader rh;
-    rh.opcode = hdr.opcode;
-    rh.seq = hdr.seq;
-    rh.clientTimeNs = hdr.clientTimeNs;
-    rh.flowId = hdr.flowId;
-    rh.status = status;
-    rh.payloadLen = 0;
-
-    Response out;
-    out.seq = rh.seq;
-    out.doneNs = 0; // rejects take no service->tx or e2e samples
-    out.tenant = tenant;
-    out.peer = peer;
-    const std::size_t written =
-        wire::buildResponseInPlace(frame.data(), frame.capacity(), rh);
-    hp_assert(written != 0, "payload-free reject must serialize");
-    out.len = static_cast<std::uint32_t>(written);
-    out.frame = std::move(frame);
+    Response out = respond(lane, req, status, 0);
+    out.reject = true;
     lane.out.push_back(std::move(out));
 }
 
@@ -691,11 +719,9 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
     }
 
     for (Request &req : reqs) {
-        // Same decimation as RX: a sequence number that sampled there
-        // samples here too, so per-request spans stay coherent across
-        // stages.
-        const bool sampled = flight.sampled(req.hdr.seq);
-        if (sampled) {
+        // RX decided the sampling: unsampled requests pay no clock
+        // read here.
+        if (req.sampled) {
             lat->record(
                 shard, telemetry::ServerStage::QwaitService,
                 req.tenant,
@@ -705,15 +731,11 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
                          req.hdr.seq);
         }
         Response resp = makeResponse(lane, qid, req);
-        resp.rxNs = req.rxNs;
-        resp.tenant = req.tenant;
-        // doneNs == 0 tells sendReplies to skip the service->tx and e2e
-        // samples, so decimated requests pay no clock read here.
-        resp.doneNs = sampled ? nowNs() : 0;
-        if (sampled) {
+        if (resp.sampled) {
+            resp.doneNs = nowNs();
             flight.stamp(shard, trace::Stage::Service,
                          trace::Phase::End, track, nowTicks(), qid,
-                         req.hdr.seq);
+                         resp.seq);
         }
         lane.out.push_back(std::move(resp));
     }
@@ -726,20 +748,14 @@ UdpServer::serveGrant(Lane &lane, QueueId qid, std::uint64_t n)
 UdpServer::Response
 UdpServer::makeResponse(Lane &lane, QueueId qid, Request &req)
 {
-    wire::ResponseHeader rh;
-    rh.opcode = req.hdr.opcode;
-    rh.seq = req.hdr.seq;
-    rh.clientTimeNs = req.hdr.clientTimeNs;
-    rh.flowId = req.hdr.flowId;
-    rh.status = wire::statusOk;
-
     // The response is built in the request's own frame.  RX received
     // the datagram at frame + responseHeadroom, which puts the request
     // payload exactly at frame + ResponseHeader::wireSize — already
     // where the response payload belongs.  Echo therefore writes a
     // header and moves nothing.
-    std::uint8_t *frame = req.frame.data();
-    std::uint8_t *framePayload = frame + wire::ResponseHeader::wireSize;
+    std::uint8_t *framePayload =
+        req.frame.data() + wire::ResponseHeader::wireSize;
+    wire::Status status = wire::statusOk;
     std::uint32_t payloadLen = req.hdr.payloadLen;
 
     switch (req.hdr.opcode) {
@@ -758,7 +774,7 @@ UdpServer::makeResponse(Lane &lane, QueueId qid, Request &req)
                            Counter::PayloadCopies);
             payloadLen = static_cast<std::uint32_t>(encapBuf.size());
         } else {
-            rh.status = wire::statusBadPayload;
+            status = wire::statusBadPayload;
             payloadLen = 0;
         }
         break;
@@ -800,30 +816,49 @@ UdpServer::makeResponse(Lane &lane, QueueId qid, Request &req)
         if (ares.ok) {
             payloadLen = ares.payloadLen;
         } else {
-            rh.status = wire::statusBadPayload;
+            status = wire::statusBadPayload;
             payloadLen = 0;
         }
         break;
       }
     }
+    return respond(lane, req, status, payloadLen);
+}
 
+UdpServer::Response
+UdpServer::respond(Lane &lane, Request &req, wire::Status status,
+                   std::uint32_t payloadLen)
+{
+    wire::ResponseHeader rh;
+    rh.opcode = req.hdr.opcode;
+    rh.seq = req.hdr.seq;
+    rh.clientTimeNs = req.hdr.clientTimeNs;
+    rh.flowId = req.hdr.flowId;
+    rh.status = status;
     rh.payloadLen = payloadLen;
     std::size_t written = wire::buildResponseInPlace(
-        frame, req.frame.capacity(), rh);
+        req.frame.data(), req.frame.capacity(), rh);
     if (written == 0) {
         // Result would not fit a datagram: fail the request closed.
         rh.status = wire::statusBadPayload;
         rh.payloadLen = 0;
-        written = wire::buildResponseInPlace(frame,
+        written = wire::buildResponseInPlace(req.frame.data(),
                                              req.frame.capacity(), rh);
     }
-    Response out;
-    out.seq = rh.seq;
-    out.peer = req.peer;
-    out.len = static_cast<std::uint32_t>(written);
-    out.frame = std::move(req.frame);
-    if (rh.status != wire::statusOk)
+    hp_assert(written != 0, "payload-free response must serialize");
+    // Only served requests fail their payload (rejects carry none), so
+    // this counts the served replies with a bad status.
+    if (rh.status == wire::statusBadPayload)
         counters_->add(lane.shard, req.tenant, Counter::BadStatus);
+
+    Response out;
+    out.peer = req.peer;
+    out.frame = std::move(req.frame);
+    out.len = static_cast<std::uint32_t>(written);
+    out.seq = rh.seq;
+    out.rxNs = req.rxNs;
+    out.tenant = req.tenant;
+    out.sampled = req.sampled;
     return out;
 }
 
@@ -835,7 +870,6 @@ UdpServer::sendReplies(Lane &lane)
         return;
     const unsigned shard = lane.shard;
     telemetry::StageLatencyShards *lat = stageLat_.get();
-    trace::FlightRecorder &flight = *flight_;
 
     // sendmmsg gathers straight from the pool frames; the frames go
     // back to their pools when `out` is cleared below.
@@ -851,14 +885,17 @@ UdpServer::sendReplies(Lane &lane)
                        Counter::TxSendErrors, out.size() - sent);
     }
     if (lat) {
-        // One clock read covers the whole sent batch.  doneNs == 0
-        // means no service finish timestamp exists — a typed reject or
-        // a request skipped by stage decimation — so neither
-        // per-request sample applies.
+        // One clock read covers the whole sent batch.  Every sampled
+        // reply takes a Completion stamp; a typed reject has no service
+        // finish, so only served ones take the service->tx and e2e
+        // samples.
         const std::uint64_t txNs = nowNs();
+        const Tick t = nsToTicks(static_cast<double>(txNs));
         for (std::size_t i = 0; i < sent; ++i) {
             const Response &r = out[i];
-            if (r.doneNs != 0) {
+            if (!r.sampled)
+                continue;
+            if (!r.reject) {
                 lat->record(shard, telemetry::ServerStage::ServiceTx,
                             r.tenant,
                             static_cast<double>(txNs - r.doneNs));
@@ -866,16 +903,9 @@ UdpServer::sendReplies(Lane &lane)
                             r.tenant,
                             static_cast<double>(txNs - r.rxNs));
             }
-        }
-    }
-    if (flight.enabled()) {
-        const Tick t = nowTicks();
-        for (std::size_t i = 0; i < sent; ++i) {
-            if (flight.sampled(out[i].seq)) {
-                flight.stamp(shard, trace::Stage::Completion,
-                             trace::Phase::Instant, trace::trackDevice, t,
-                             invalidQueueId, out[i].seq);
-            }
+            flight_->stamp(shard, trace::Stage::Completion,
+                           trace::Phase::Instant, trace::trackDevice, t,
+                           invalidQueueId, r.seq);
         }
     }
     out.clear();
@@ -966,67 +996,50 @@ UdpServer::registerStats(stats::Registry &reg, const std::string &prefix)
         const auto st = static_cast<telemetry::ServerStage>(si);
         const std::string sp =
             prefix + ".stage." + telemetry::toString(st);
-        const auto q = [&reg, &sp, st, this](const char *name,
-                                             double quant) {
-            reg.addScalar(sp + "." + name, [this, st, quant] {
-                return stageLat_
-                    ? stageLat_->aggregate(st).quantile(quant)
-                    : 0.0;
-            });
-        };
-        q("p50_ns", 0.50);
-        q("p99_ns", 0.99);
-        q("p999_ns", 0.999);
-        reg.addScalar(sp + ".mean_ns", [this, st] {
-            return stageLat_ ? stageLat_->aggregate(st).mean() : 0.0;
-        });
+        addQuantiles(reg, sp, [this, st] { return stageLatency(st); });
+        reg.addScalar(sp + ".mean_ns",
+                      [this, st] { return stageLatency(st).mean(); });
         reg.addScalar(sp + ".count", [this, st] {
             return stageLat_
                 ? static_cast<double>(stageLat_->samples(st))
                 : 0.0;
         });
     }
-    if (tenants_) {
-        for (unsigned t = 0; t < tenants_->numTenants(); ++t) {
-            const std::string tp =
-                prefix + ".tenant." + tenants_->name(t);
-            for (const CounterRow &row : kCounterTable) {
-                if (!row.tenantName)
-                    continue;
-                reg.addScalar(tp + "." + row.tenantName,
-                              [this, t, c = row.counter] {
-                                  return counters_
-                                      ? static_cast<double>(
-                                            counters_->tenantTotal(t, c))
-                                      : 0.0;
-                              });
-            }
-            // Per-tenant per-stage quantiles, merged across shards.
-            for (unsigned si = 0; si < telemetry::kNumServerStages;
-                 ++si) {
-                const auto st =
-                    static_cast<telemetry::ServerStage>(si);
-                const std::string sp =
-                    tp + ".stage." + telemetry::toString(st);
-                const auto tq = [&reg, &sp, st, t,
-                                 this](const char *name, double quant) {
-                    reg.addScalar(sp + "." + name,
-                                  [this, st, t, quant] {
-                                      return stageLat_
-                                          ? stageLat_
-                                                ->aggregate(st, t)
-                                                .quantile(quant)
-                                          : 0.0;
-                                  });
-                };
-                tq("p50_ns", 0.50);
-                tq("p99_ns", 0.99);
-                tq("p999_ns", 0.999);
-            }
-        }
-    }
+    if (tenants_)
+        registerTenantStats(reg, prefix);
     if (hpDev_)
         hpDev_->registerStats(reg, prefix + ".dev");
+}
+
+void
+UdpServer::registerTenantStats(stats::Registry &reg,
+                               const std::string &prefix)
+{
+    for (unsigned t = 0; t < tenants_->numTenants(); ++t) {
+        const std::string tp = prefix + ".tenant." + tenants_->name(t);
+        for (const CounterRow &row : kCounterTable) {
+            if (!row.tenantName)
+                continue;
+            reg.addScalar(tp + "." + row.tenantName,
+                          [this, t, c = row.counter] {
+                              return counters_
+                                  ? static_cast<double>(
+                                        counters_->tenantTotal(t, c))
+                                  : 0.0;
+                          });
+        }
+        // Per-tenant per-stage quantiles, merged across shards.
+        for (unsigned si = 0; si < telemetry::kNumServerStages; ++si) {
+            const auto st = static_cast<telemetry::ServerStage>(si);
+            addQuantiles(
+                reg, tp + ".stage." + telemetry::toString(st),
+                [this, st, t] {
+                    return stageLat_
+                        ? stageLat_->aggregate(st, t)
+                        : telemetry::StageLatencyShards::emptyHistogram();
+                });
+        }
+    }
 }
 
 stats::LogHistogram
@@ -1034,15 +1047,6 @@ UdpServer::stageLatency(telemetry::ServerStage st) const
 {
     if (stageLat_)
         return stageLat_->aggregate(st);
-    return telemetry::StageLatencyShards::emptyHistogram();
-}
-
-stats::LogHistogram
-UdpServer::stageLatency(telemetry::ServerStage st,
-                        unsigned tenant) const
-{
-    if (stageLat_ && tenant < stageLat_->numTenants())
-        return stageLat_->aggregate(st, tenant);
     return telemetry::StageLatencyShards::emptyHistogram();
 }
 
@@ -1074,14 +1078,6 @@ UdpServer::metricsPort() const
 std::string
 UdpServer::prometheusPage() const
 {
-    if (!selfReg_) {
-        stats::Registry reg;
-        // registerStats is logically const here: it only reads
-        // counter addresses and registers getters.
-        const_cast<UdpServer *>(this)->registerStats(reg);
-        return telemetry::prometheusText(
-            reg, static_cast<double>(nowNs()) / 1e9);
-    }
     return telemetry::prometheusText(
         *selfReg_, static_cast<double>(nowNs()) / 1e9);
 }
@@ -1096,11 +1092,7 @@ UdpServer::metricsPage(const std::string &path,
     }
     if (path == "/stats.json") {
         contentType = "application/json";
-        if (selfReg_)
-            return selfReg_->reportJson();
-        stats::Registry reg;
-        const_cast<UdpServer *>(this)->registerStats(reg);
-        return reg.reportJson();
+        return selfReg_->reportJson();
     }
     if (path == "/flight.json") {
         contentType = "application/json";

@@ -31,12 +31,18 @@
  * Handlers are the real workloads (echo, GRE-in-IPv6 encapsulation via
  * src/net, session-affinity steering via src/workloads, stateful apps).
  *
+ * Each RX batch runs four stages, one call each in rxLoop():
+ * receiveBatch (top up the frames, recvmmsg), admitBatch (SIMD
+ * precheck, parse, classify, steer, admit or shed, push), ringTouched
+ * (one deferred ring per touched queue) and serveInline (one grant,
+ * the send, a wake if work is left).
+ *
  * RX threads are the only ringers, and each rings a touched queue once
  * per batch with at least one item, so there is no doorbell storm to
  * contain and no ring to lose (a ring is a call under the device
- * lock): nothing sweeps the queues.  RX blocks in epoll_wait and the
- * workers park in QWAIT, neither with a timeout, so an idle server's
- * threads never wake.
+ * lock): nothing sweeps the queues.  RX blocks in epoll_wait, the
+ * workers park in QWAIT and the metrics endpoint blocks in accept(),
+ * none with a timeout, so an idle server's threads never wake.
  *
  * Instrumentation is one substrate.  Every count is one add into a
  * single-writer cell of telemetry::CounterShards (shard x tenant x
@@ -47,6 +53,8 @@
  * One period, telemetry.stageSampleEvery, picks the requests that get
  * both flight stamps and stage-histogram samples; 1 traces every
  * request, and flightTraceJson() renders the rings for Perfetto.
+ * admitBatch decides it once per request and the bit rides on the
+ * Request and its Response, so no later stage asks again.
  * Ticks are nsToTicks(ns since start), so exported microseconds are
  * wall-clock microseconds.
  */
@@ -108,12 +116,6 @@ struct ServerConfig
      * arrivals with typed rejects from the reserve below.
      */
     std::uint32_t framesPerRxShard = 4096;
-    /**
-     * Shared reserve of small frames for typed rejects when an RX
-     * shard's pool is dry — exhaustion stays a graceful, answered
-     * condition instead of a silent drop.
-     */
-    std::uint32_t rejectReserveFrames = 512;
     /** Items a worker claims per QWAIT grant. */
     std::uint64_t maxBatch = 16;
 
@@ -242,9 +244,6 @@ class UdpServer
     /** The notification device (doorbell / wake counters). */
     const emu::EmuHyperPlane &device() const { return *hpDev_; }
 
-    /** Tenant map + admission state (valid after start()). */
-    const TenantTable &tenantTable() const { return *tenants_; }
-
     /**
      * Register every server counter plus the device counters under
      * @p prefix ("server").
@@ -262,12 +261,10 @@ class UdpServer
 
     /**
      * Aggregated per-stage latency histogram (nanoseconds), merged
-     * across all shards and tenants; the two-argument form restricts
-     * to one tenant.  Empty before start() or with telemetry disabled.
+     * across all shards and tenants.  Empty before start() or with
+     * telemetry disabled.
      */
     stats::LogHistogram stageLatency(telemetry::ServerStage st) const;
-    stats::LogHistogram stageLatency(telemetry::ServerStage st,
-                                     unsigned tenant) const;
 
     /** Sampled trace rings (null before start()). */
     const trace::FlightRecorder *flightRecorder() const
@@ -290,7 +287,10 @@ class UdpServer
      */
     int metricsPort() const;
 
-    /** Current Prometheus exposition page (endpoint's /metrics). */
+    /**
+     * Current Prometheus exposition page (endpoint's /metrics); valid
+     * after a successful start(), like metricsPage().
+     */
     std::string prometheusPage() const;
 
     /** Endpoint dispatch (also used by tests): "" means 404. */
@@ -315,6 +315,9 @@ class UdpServer
         std::uint64_t rxNs = 0;
         std::uint64_t admitNs = 0; ///< admission verdict time
         unsigned tenant = 0;
+        /** Decided once at RX: the request takes every stage's flight
+         *  stamp and histogram sample. */
+        bool sampled = false;
 
         /** The request payload, in place inside the frame. */
         const std::uint8_t *payload() const
@@ -332,8 +335,10 @@ class UdpServer
         std::uint32_t len = 0;
         std::uint64_t seq = 0;
         std::uint64_t rxNs = 0;   ///< request receive time
-        std::uint64_t doneNs = 0; ///< service finish (0: reject/unsampled)
+        std::uint64_t doneNs = 0; ///< service finish (sampled replies)
         unsigned tenant = 0;
+        bool sampled = false; ///< the request's sampling bit
+        bool reject = false;  ///< typed reject: no service, no samples
     };
 
     /**
@@ -353,31 +358,70 @@ class UdpServer
         std::vector<TxView> views;
     };
 
+    struct RxShard;
+
+    /** Bind the RX and worker sockets and the RX epoll sets. */
+    bool openSockets();
+    /** Frame pools, device, queues, serving lanes and app handlers. */
+    void buildDataPlane();
+    /** Wait for datagrams and run the four RX stages per batch. */
     void rxLoop(unsigned index);
+    /**
+     * Top up rx.spare from the shard's pool and recvmmsg into it, or
+     * into the pool-dry scratch when the pool is empty.
+     * @return datagrams received (0: the socket is drained).
+     */
+    std::size_t receiveBatch(RxShard &rx);
+    /**
+     * Precheck, parse, classify, steer and admit or shed the @p n
+     * received datagrams; admitted requests are pushed, not rung.
+     */
+    void admitBatch(RxShard &rx, std::size_t n);
+    /** One datagram of admitBatch(); takes the sampling decision. */
+    void admitOne(RxShard &rx, std::size_t i, std::size_t backlogNow);
+    /**
+     * Ring each queue the batch touched once, with a deferred wake,
+     * and take its admit->doorbell sample.  @return true if any rang.
+     */
+    bool ringTouched(RxShard &rx);
+    /**
+     * Serve one grant on the RX thread if @p rang, send its replies and
+     * the batch's rejects, then wake a worker if work is left.
+     */
+    void serveInline(Lane &lane, bool rang);
     /**
      * Serve @p n granted items of @p qid and send lane.out, holding the
      * queue's serving lock from the pop to the send.
      */
     void serveGrant(Lane &lane, QueueId qid, std::uint64_t n);
+    /** Run @p req's handler and build its reply in place. */
     Response makeResponse(Lane &lane, QueueId qid, Request &req);
     /**
-     * Refuse a request at RX steering, skipping the queues: count it as
-     * @p why in @p tenant's column, stamp AdmissionShed at @p ns if the
-     * request is sampled, and build a payload-free typed reject into
-     * lane.out.  @p frame is the request's own frame when one exists
-     * (the reject reuses it); a null handle draws from the reject
-     * reserve, and if that too is dry the packet is counted in
-     * PoolDrops and dropped.
+     * Write a response header with @p status and @p payloadLen into
+     * req.frame (a reply too big for a datagram fails closed as
+     * statusBadPayload) and move the frame into the returned Response.
+     */
+    Response respond(Lane &lane, Request &req, wire::Status status,
+                     std::uint32_t payloadLen);
+    /**
+     * Refuse @p req at RX steering, skipping the queues: count it as
+     * @p why in its tenant's column, stamp AdmissionShed at its admitNs
+     * if it is sampled, and build a payload-free typed reject into
+     * lane.out.  The reject reuses req.frame when it holds one; a null
+     * frame draws from the reject reserve, and if that too is dry the
+     * packet is counted in PoolDrops and dropped.
      */
     void shed(Lane &lane, telemetry::Counter why, wire::Status status,
-              const sockaddr_in &peer, const wire::RequestHeader &hdr,
-              unsigned tenant, QueueId qid, std::uint64_t ns,
-              FrameHandle &&frame);
+              QueueId qid, Request &req);
     /**
-     * sendmmsg lane.out on the lane's socket, record the service->tx
-     * and e2e samples and Completion stamps, then release the frames.
+     * sendmmsg lane.out on the lane's socket and, in one pass over the
+     * sent replies, record the sampled ones' service->tx and e2e
+     * samples and Completion stamps; then release the frames.
      */
     void sendReplies(Lane &lane);
+    /** The per-tenant counter and stage-quantile registry rows. */
+    void registerTenantStats(stats::Registry &reg,
+                             const std::string &prefix);
 
     Tick nowTicks() const;
 
@@ -423,7 +467,7 @@ class UdpServer
     /// stage-histogram samples (TelemetryConfig::stageSampleEvery).
     std::unique_ptr<trace::FlightRecorder> flight_;
     std::unique_ptr<telemetry::MetricsServer> metrics_;
-    /** Registry backing the endpoint (populated in start()). */
+    /** Registry backing the endpoint's pages (built in start()). */
     std::unique_ptr<stats::Registry> selfReg_;
 
     std::atomic<bool> running_{false};

@@ -2,11 +2,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -19,9 +17,9 @@ namespace telemetry {
 namespace {
 
 int
-bindSocket(int type, const std::string &ip, std::uint16_t port)
+bindSocket(const std::string &ip, std::uint16_t port)
 {
-    int fd = ::socket(AF_INET, type, 0);
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         return -1;
     int one = 1;
@@ -79,7 +77,7 @@ MetricsServer::start(const std::string &ip, std::uint16_t port,
 {
     if (running())
         return false;
-    tcpFd_ = bindSocket(SOCK_STREAM, ip, port);
+    tcpFd_ = bindSocket(ip, port);
     if (tcpFd_ < 0) {
         hp_warn("MetricsServer: cannot bind tcp %s:%u: %s", ip.c_str(),
                 port, std::strerror(errno));
@@ -91,14 +89,6 @@ MetricsServer::start(const std::string &ip, std::uint16_t port,
         return false;
     }
     port_ = port != 0 ? port : boundPort(tcpFd_);
-    udpFd_ = bindSocket(SOCK_DGRAM, ip, port_);
-    if (udpFd_ < 0) {
-        hp_warn("MetricsServer: cannot bind udp %s:%u: %s", ip.c_str(),
-                port_, std::strerror(errno));
-        ::close(tcpFd_);
-        tcpFd_ = -1;
-        return false;
-    }
     handler_ = std::move(handler);
     stopping_.store(false, std::memory_order_release);
     running_.store(true, std::memory_order_release);
@@ -112,39 +102,31 @@ MetricsServer::stop()
     if (!running_.load(std::memory_order_acquire))
         return;
     stopping_.store(true, std::memory_order_release);
+    // A shut-down listening socket fails the blocked accept() and every
+    // later one, so the thread sees stopping_ whenever it gets there.
+    ::shutdown(tcpFd_, SHUT_RDWR);
     if (thread_.joinable())
         thread_.join();
-    if (tcpFd_ >= 0)
-        ::close(tcpFd_);
-    if (udpFd_ >= 0)
-        ::close(udpFd_);
-    tcpFd_ = udpFd_ = -1;
+    ::close(tcpFd_);
+    tcpFd_ = -1;
     running_.store(false, std::memory_order_release);
 }
 
 void
 MetricsServer::loop()
 {
-    while (!stopping_.load(std::memory_order_acquire)) {
-        pollfd fds[2];
-        fds[0] = {tcpFd_, POLLIN, 0};
-        fds[1] = {udpFd_, POLLIN, 0};
-        const int n = ::poll(fds, 2, 100);
-        if (n <= 0)
-            continue;
-        if (fds[0].revents & POLLIN)
-            serveTcp();
-        if (fds[1].revents & POLLIN)
-            serveUdp();
+    for (;;) {
+        const int fd = ::accept(tcpFd_, nullptr, nullptr);
+        if (fd >= 0)
+            serve(fd);
+        else if (stopping_.load(std::memory_order_acquire))
+            return;
     }
 }
 
 void
-MetricsServer::serveTcp()
+MetricsServer::serve(int fd)
 {
-    int fd = ::accept(tcpFd_, nullptr, nullptr);
-    if (fd < 0)
-        return;
     // Bound the time a stalled client can hold the serving thread.
     timeval tv{1, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
@@ -190,44 +172,6 @@ MetricsServer::serveTcp()
     // that has its answer always sees it counted.
     served_.fetch_add(1, std::memory_order_relaxed);
     ::close(fd);
-}
-
-void
-MetricsServer::serveUdp()
-{
-    char buf[512];
-    sockaddr_in peer{};
-    socklen_t peerLen = sizeof(peer);
-    const ssize_t n =
-        ::recvfrom(udpFd_, buf, sizeof(buf), 0,
-                   reinterpret_cast<sockaddr *>(&peer), &peerLen);
-    if (n < 0)
-        return;
-    std::string path(buf, static_cast<std::size_t>(n));
-    // Trim whitespace/newlines so `echo /metrics | nc -u` works.
-    while (!path.empty() &&
-           (path.back() == '\n' || path.back() == '\r' ||
-            path.back() == ' ')) {
-        path.pop_back();
-    }
-    if (path.empty())
-        path = "/metrics";
-
-    std::string contentType;
-    std::string body = handler_(path, contentType);
-    if (body.empty())
-        body = "not found\n";
-    for (std::size_t off = 0; off < body.size(); off += kUdpChunk) {
-        const std::size_t len =
-            std::min(kUdpChunk, body.size() - off);
-        ::sendto(udpFd_, body.data() + off, len, 0,
-                 reinterpret_cast<sockaddr *>(&peer), peerLen);
-    }
-    // Empty terminator datagram marks end-of-body; count the request
-    // first, as for HTTP.
-    served_.fetch_add(1, std::memory_order_relaxed);
-    ::sendto(udpFd_, "", 0, 0, reinterpret_cast<sockaddr *>(&peer),
-             peerLen);
 }
 
 } // namespace telemetry

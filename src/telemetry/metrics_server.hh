@@ -1,18 +1,14 @@
 /**
  * @file
- * Minimal metrics endpoint: a single-threaded HTTP/1.0 listener plus
- * a UDP one-shot responder on the same port number.
+ * Minimal metrics endpoint: a single-threaded HTTP/1.0 listener.
  *
- * The HTTP side answers GET requests (curl, Prometheus scrapers, the
- * hyperplane_top example) with handler-provided bodies.  The UDP side
- * exists for socketless-constrained CI: any datagram sent to the port
- * is treated as a path ("/metrics" if empty) and answered with the
- * same body chunked into <= 1200-byte datagrams followed by an empty
- * terminator, so a test can scrape metrics without a TCP stack.
- *
- * One background thread polls both sockets with a 100 ms timeout;
- * requests are served strictly serially, which is plenty for a scrape
- * endpoint and keeps the implementation trivial to reason about.
+ * It answers GET requests (curl, Prometheus scrapers, the
+ * hyperplane_top example) with handler-provided bodies.  One
+ * background thread blocks in accept() with no timeout, so an idle
+ * endpoint never wakes; stop() shuts the listening socket down to
+ * release it.  Requests are served strictly serially, which is plenty
+ * for a scrape endpoint and keeps the implementation trivial to reason
+ * about.
  */
 
 #ifndef HYPERPLANE_TELEMETRY_METRICS_SERVER_HH
@@ -44,9 +40,9 @@ class MetricsServer
     MetricsServer &operator=(const MetricsServer &) = delete;
 
     /**
-     * Bind @p ip:@p port (TCP and UDP; port 0 picks an ephemeral port
-     * used for both) and start the serving thread.
-     * @return false if either socket could not be bound.
+     * Bind @p ip:@p port (TCP; port 0 picks an ephemeral port) and
+     * start the serving thread.
+     * @return false if the socket could not be bound or listen.
      */
     bool start(const std::string &ip, std::uint16_t port,
                Handler handler);
@@ -61,19 +57,15 @@ class MetricsServer
     /** Bound port (valid after a successful start()). */
     std::uint16_t port() const { return port_; }
 
-    /** HTTP + UDP requests answered. */
+    /** HTTP requests answered. */
     std::uint64_t requestsServed() const
     {
         return served_.load(std::memory_order_relaxed);
     }
 
-    /** Max payload bytes per UDP response datagram. */
-    static constexpr std::size_t kUdpChunk = 1200;
-
   private:
     void loop();
-    void serveTcp();
-    void serveUdp();
+    void serve(int fd);
 
     Handler handler_;
     std::thread thread_;
@@ -81,7 +73,6 @@ class MetricsServer
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> served_{0};
     int tcpFd_ = -1;
-    int udpFd_ = -1;
     std::uint16_t port_ = 0;
 };
 

@@ -48,7 +48,7 @@ struct TelemetryConfig
     std::uint64_t stageSampleEvery = 32;
 
     /**
-     * TCP+UDP port for the metrics endpoint; < 0 disables the
+     * TCP port for the metrics endpoint; < 0 disables the
      * listener (default: sandboxed test environments may lack
      * sockets), 0 binds an ephemeral port (see
      * UdpServer::metricsPort()).

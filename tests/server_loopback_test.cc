@@ -7,6 +7,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -133,12 +134,23 @@ TEST(ServerLoopback, StopDrainsAndNoHandlerRunsAfter)
 
 TEST(ServerLoopback, IdleServerMakesNoTimerWakeups)
 {
-    // RX blocks in epoll_wait and the workers park in QWAIT, neither
-    // with a timeout: an idle server's threads never wake, so no qwait
-    // times out.
-    UdpServer srv(ServerConfig{});
+    // RX blocks in epoll_wait, the workers park in QWAIT and the
+    // metrics thread blocks in accept(), none with a timeout: an idle
+    // server's threads never wake, so no qwait times out and the
+    // process makes no voluntary context switch beyond the test's own
+    // sleep.
+    ServerConfig cfg;
+    cfg.telemetry.metricsPort = 0;
+    UdpServer srv(cfg);
     START_OR_SKIP(srv);
-    std::this_thread::sleep_for(300ms);
+    std::this_thread::sleep_for(50ms); // let every thread park
+    rusage before{}, after{};
+    ::getrusage(RUSAGE_SELF, &before);
+    std::this_thread::sleep_for(500ms);
+    ::getrusage(RUSAGE_SELF, &after);
+    if (srv.metricsPort() >= 0) {
+        EXPECT_LE(after.ru_nvcsw - before.ru_nvcsw, 2);
+    }
     EXPECT_EQ(srv.device().qwaitTimeouts(), 0u);
     EXPECT_TRUE(srv.stop());
     EXPECT_EQ(srv.device().qwaitTimeouts(), 0u);
@@ -204,6 +216,58 @@ TEST(ServerLoopback, TraceStampsExportToChromeJson)
     std::remove(dumpPath.c_str());
     EXPECT_TRUE(hyperplane::testing::jsonWellFormed(dump));
     EXPECT_NE(dump.find("\"qwait_return\""), std::string::npos);
+}
+
+TEST(ServerLoopback, SampledStagesCoverEveryRequestOnce)
+{
+    // At stageSampleEvery = 1 every request is sampled, so each stage
+    // stamps or records exactly once for every request that reaches
+    // it.  A rate limit below the offered load makes typed rejects, so
+    // the reject path's stamps are counted too.
+    ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.telemetry.stageSampleEvery = 1;
+    cfg.telemetry.recorderCapacity = 1 << 14;
+    dp::TenantSpec limited;
+    limited.rateLimitPerSec = 1000.0;
+    limited.queueCount = cfg.numQueues;
+    cfg.tenants = {limited};
+    UdpServer srv(cfg);
+    START_OR_SKIP(srv);
+
+    auto report = UdpLoadGen(loadgenFor(srv, 2000.0, 0.3)).run();
+    ASSERT_TRUE(report.has_value());
+    EXPECT_TRUE(srv.stop());
+
+    const trace::FlightRecorder &flight = *srv.flightRecorder();
+    ASSERT_EQ(flight.dropped(), 0u);
+    std::uint64_t doorbells = 0, sheds = 0, begins = 0, ends = 0,
+                  completions = 0;
+    for (const auto &e : flight.snapshot()) {
+        doorbells += e.stage == trace::Stage::DoorbellWrite;
+        sheds += e.stage == trace::Stage::AdmissionShed;
+        completions += e.stage == trace::Stage::Completion;
+        if (e.stage == trace::Stage::Service) {
+            begins += e.phase == trace::Phase::Begin;
+            ends += e.phase == trace::Phase::End;
+        }
+    }
+    const ServerCounterSnapshot s = srv.counterSnapshot();
+    ASSERT_GT(s.served, 0u);
+    ASSERT_GT(s.shedRateLimited, 0u);
+    EXPECT_EQ(doorbells, s.admitted);
+    EXPECT_EQ(sheds, s.shedTotal());
+    EXPECT_EQ(begins, s.served);
+    EXPECT_EQ(ends, s.served);
+    EXPECT_EQ(completions, s.txPackets);
+
+    stats::Registry reg;
+    srv.registerStats(reg);
+    for (const char *stage : {"qwait_service", "service_tx", "e2e"}) {
+        EXPECT_EQ(reg.value(std::string("server.stage.") + stage + ".count"),
+                  static_cast<double>(s.served))
+            << stage;
+    }
 }
 
 TEST(ServerLoopback, RegistryExposesServerAndDeviceCounters)
@@ -438,7 +502,6 @@ TEST(ServerLoopback, TinyFramePoolStaysGracefulUnderLoad)
     cfg.workers = 1;
     cfg.rxBatch = 8;
     cfg.framesPerRxShard = 8;
-    cfg.rejectReserveFrames = 256;
     UdpServer srv(cfg);
     START_OR_SKIP(srv);
 

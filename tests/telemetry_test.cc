@@ -1,16 +1,14 @@
 /**
  * @file
  * Unit tests for the telemetry plane: sharded counters, histogram
- * shards, the operational event log, Prometheus rendering, build info,
- * and the metrics endpoint (HTTP + UDP one-shot; skipped without
- * sockets).
+ * shards, Prometheus rendering, build info, and the HTTP metrics
+ * endpoint (skipped without sockets).
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -214,37 +212,6 @@ TEST(BuildInfo, IsPopulated)
     EXPECT_EQ(bi.forcedScalar, k.forcedScalar);
 }
 
-/** Scrape the metrics server over its UDP one-shot op. */
-std::string
-udpScrape(std::uint16_t port, const std::string &path)
-{
-    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (fd < 0)
-        return {};
-    timeval tv{2, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::sendto(fd, path.data(), path.size(), 0,
-                 reinterpret_cast<sockaddr *>(&addr),
-                 sizeof(addr)) < 0) {
-        ::close(fd);
-        return {};
-    }
-    std::string body;
-    char buf[2048];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0)
-            break; // empty datagram terminates the response
-        body.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return body;
-}
-
 /** Minimal HTTP GET against 127.0.0.1:port. */
 std::string
 httpGet(std::uint16_t port, const std::string &path)
@@ -278,7 +245,7 @@ httpGet(std::uint16_t port, const std::string &path)
     return resp;
 }
 
-TEST(MetricsServerTest, ServesHttpAndUdpOrSkips)
+TEST(MetricsServerTest, ServesHttpOrSkips)
 {
     MetricsServer ms;
     const bool up = ms.start("127.0.0.1", 0,
@@ -304,33 +271,9 @@ TEST(MetricsServerTest, ServesHttpAndUdpOrSkips)
     const std::string missing = httpGet(ms.port(), "/nope");
     EXPECT_NE(missing.find("404"), std::string::npos);
 
-    // UDP one-shot: empty datagram means "/metrics".
-    EXPECT_EQ(udpScrape(ms.port(), "/metrics"), "body 1\n");
-    EXPECT_EQ(udpScrape(ms.port(), ""), "body 1\n");
-    EXPECT_GE(ms.requestsServed(), 4u);
+    EXPECT_EQ(ms.requestsServed(), 2u);
     ms.stop();
     EXPECT_FALSE(ms.running());
-}
-
-TEST(MetricsServerTest, UdpChunksLargeBodies)
-{
-    MetricsServer ms;
-    // Three full chunks plus a remainder, to cross the 1200-byte
-    // datagram boundary several times.
-    const std::string big(3 * MetricsServer::kUdpChunk + 123, 'x');
-    const bool up = ms.start(
-        "127.0.0.1", 0,
-        [&big](const std::string &, std::string &ct) {
-            ct = "text/plain";
-            return big;
-        });
-    if (!up)
-        GTEST_SKIP() << "sockets unavailable in this sandbox";
-    const std::string got = udpScrape(ms.port(), "/metrics");
-    if (got.empty())
-        GTEST_SKIP() << "UDP loopback unavailable in this sandbox";
-    EXPECT_EQ(got, big);
-    ms.stop();
 }
 
 } // namespace
